@@ -95,6 +95,13 @@ class SketchParams:
             raise ValueError(f"tower fraction must lie strictly inside (0, 1), got {self.tower_fraction!r}")
         if not isinstance(self.gate_threshold, int) or self.gate_threshold < 0:
             raise ValueError(f"gate threshold must be a nonnegative integer, got {self.gate_threshold!r}")
+        # The tower's estimate never exceeds its widest counter's limit, so a
+        # higher gate would never open; resident-first routing needs it to.
+        top_limit = (1 << max(DEFAULT_WIDTHS)) - 1
+        if self.gate_threshold > top_limit:
+            raise ValueError(
+                f"gate threshold {self.gate_threshold} can never open: the tower counts to at most {top_limit}"
+            )
         if not isinstance(self.cells_per_bucket, int) or self.cells_per_bucket < 1:
             raise ValueError(f"cells per bucket must be a positive integer, got {self.cells_per_bucket!r}")
         object.__setattr__(self, "eviction_ratio", as_ratio(self.eviction_ratio))

@@ -117,10 +117,10 @@ class ValueSketch:
         self._u = buckets
         self._d = cells_per_bucket
         self._hash_fn = hash_fn
-        # The bucket of the last key feed() found no cell for, which insert()
-        # then reuses: a gated sketch feeds first and inserts only on a miss.
-        self._missed_key = None
-        self._missed_bucket = 0
+        # Key -> its cell, over every occupied cell. A key holds at most one
+        # cell, so one exact lookup says whether it is resident, with no hash
+        # and no bucket scan; only a key without a cell needs its bucket.
+        self._resident: dict[int, Cell] = {}
         self._claims = 0
         self.buckets: list[Bucket] = [Bucket(cells_per_bucket) for _ in range(buckets)]
         # Constructed eagerly so bad (r, s, w) fail here, not at first insert.
@@ -137,7 +137,9 @@ class ValueSketch:
         sub = cell_seed(self.seed, bucket_index, self._claims)
         self._claims += 1
         est = PointEstimator(self._r, self._s, Calibrator(self.quantile, sub))
-        return Cell(key, 1, est)
+        cell = Cell(key, 1, est)
+        self._resident[key] = cell
+        return cell
 
     def insert(self, key: int, value: Value) -> InsertResult:
         """Feed one (key, value) pair; returns what happened to the key.
@@ -150,24 +152,15 @@ class ValueSketch:
         """
         if not math.isfinite(value):
             raise ValueError(f"inserted values must be finite, got {value!r}")
-        if key == self._missed_key:
-            bucket_index = self._missed_bucket
-        else:
-            bucket_index = self.bucket_of(key)
+        matched = self.feed(key, value)
+        if matched is not None:
+            return matched
+        bucket_index = self.bucket_of(key)
         bucket = self.buckets[bucket_index]
         cells = bucket.cells
-        empty = -1
-        for j, cell in enumerate(cells):
-            if cell is None:
-                if empty < 0:
-                    empty = j
-            elif cell.key == key:
-                cell.vote_plus += 1
-                cell.estimator.insert(value)
-                return _MATCHED
-        if empty >= 0:
+        if None in cells:
             cell = self._new_cell(key, bucket_index)
-            cells[empty] = cell
+            cells[cells.index(None)] = cell
             cell.estimator.insert(value)
             return _PLACED
         bucket.vote_minus += 1
@@ -179,6 +172,7 @@ class ValueSketch:
                 victim_index = j
         if bucket.vote_minus * self._ratio_den >= self._ratio_num * victim.vote_plus:
             evicted_key = victim.key
+            del self._resident[evicted_key]
             cell = self._new_cell(key, bucket_index)
             cells[victim_index] = cell
             cell.estimator.insert(value)
@@ -189,31 +183,24 @@ class ValueSketch:
     def feed(self, key: int, value: Value) -> InsertResult | None:
         """Insert into the key's own cell, if it holds one (a matched insert).
 
-        :returns: None when the key holds no cell; no cell or vote changed,
-            and insert() of that key next reuses the bucket found here.
+        :returns: None when the key holds no cell; then no cell or vote changed.
         """
-        bucket_index = self.bucket_of(key)
-        for cell in self.buckets[bucket_index].cells:
-            if cell is not None and cell.key == key:
-                cell.estimator.insert(value)
-                cell.vote_plus += 1
-                return _MATCHED
-        self._missed_key = key
-        self._missed_bucket = bucket_index
-        return None
+        cell = self._resident.get(key)
+        if cell is None:
+            return None
+        cell.estimator.insert(value)
+        cell.vote_plus += 1
+        return _MATCHED
 
     def find(self, key: int) -> Cell | None:
-        for cell in self.buckets[self.bucket_of(key)].cells:
-            if cell is not None and cell.key == key:
-                return cell
-        return None
+        return self._resident.get(key)
 
     def query(self, key: int) -> Value:
         """Quantile estimate for a tracked key.
 
         :raises KeyError: if the key holds no cell ("not tracked").
         """
-        cell = self.find(key)
+        cell = self._resident.get(key)
         if cell is None:
             raise KeyError(f"key {key!r} not tracked")
         return cell.estimator.query()
@@ -226,7 +213,7 @@ class ValueSketch:
                     yield cell.key
 
     def tracked_count(self) -> int:
-        return sum(1 for _ in self.keys())
+        return len(self._resident)
 
     def __repr__(self) -> str:
         return (

@@ -42,11 +42,12 @@ class TestParameters:
 
 class TestGeometricDraws:
     def test_identity_never_touches_rng(self):
+        # An identity calibrator holds no generator at all, so no draw of
+        # its can consume randomness.
         c = Calibrator(0.5, seed=123)
-        before = c._rng.getstate()
+        assert c._rng is None
         for _ in range(200):
             assert c.sample_geometric() == 1
-        assert c._rng.getstate() == before
 
     def test_frozen_draw_sequence(self):
         # Replayed once by hand from the inverse CDF with p = 0.5:

@@ -191,6 +191,17 @@ class TestGate:
         sk = PerKeyQuantileSketch(self.params(gate_threshold=0))
         assert sk.insert(7, 1.0) is not None
 
+    def test_widest_counter_limit_is_the_top_threshold(self):
+        # The 16-bit top layer counts a key to at most 65535, so a higher gate
+        # never opens; at 65535 itself a repeated key is still admitted.
+        with pytest.raises(ValueError, match="gate threshold"):
+            self.params(gate_threshold=65536)
+        sk = PerKeyQuantileSketch(self.params(gate_threshold=65535))
+        for _ in range(65535):
+            assert sk.insert(42, 1.0) is None
+        assert sk.insert(42, 2.0).outcome is InsertOutcome.PLACED
+        assert list(sk.tracked_keys()) == [42]
+
     def test_tower_freezes_once_open(self):
         sk = PerKeyQuantileSketch(self.params())
         for i in range(50):

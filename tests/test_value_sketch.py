@@ -179,6 +179,66 @@ class TestVoteAccounting:
         assert result.evicted_key == 1
 
 
+class TestResidentIndex:
+    """The key index holds exactly the occupied cells, so lookups through it
+    give what a scan of the key's bucket gives."""
+
+    KEYS = 12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        route=st.lists(st.integers(0, 2), min_size=KEYS, max_size=KEYS),
+        buckets=st.integers(1, 3),
+        cells=st.integers(1, 3),
+        ratio=st.sampled_from([1, 4]),
+        items=st.lists(
+            st.tuples(st.integers(0, KEYS - 1), st.floats(-1e6, 1e6, allow_nan=False)),
+            max_size=200,
+        ),
+    )
+    def test_index_matches_a_bucket_scan(self, route, buckets, cells, ratio, items):
+        # At most 9 cells for 12 keys, so full buckets evict.
+        vs = ValueSketch(
+            buckets=buckets,
+            cells_per_bucket=cells,
+            eviction_ratio=ratio,
+            hash_fn=route.__getitem__,
+        )
+
+        def scan():
+            return {
+                cell.key: cell
+                for bucket in vs.buckets
+                for cell in bucket.cells
+                if cell is not None
+            }
+
+        # Two keys past the inserted range are never inserted.
+        probes = range(self.KEYS + 2)
+        for key, value in items:
+            vs.insert(key, value)
+            held = scan()
+            assert vs._resident == held
+            for probe in probes:
+                assert vs.find(probe) is held.get(probe)
+                if probe in held:
+                    assert vs.query(probe) == held[probe].estimator.query()
+                else:
+                    with pytest.raises(KeyError, match="not tracked"):
+                        vs.query(probe)
+        held = scan()
+        for probe in probes:
+            cell = held.get(probe)
+            if cell is None:
+                assert vs.feed(probe, 1.0) is None
+            else:
+                votes = cell.vote_plus
+                assert vs.feed(probe, 1.0).outcome is InsertOutcome.MATCHED
+                assert cell.vote_plus == votes + 1
+        assert scan() == held
+        assert vs._resident == held
+
+
 class TestPlacement:
     def test_keys_live_in_their_hash_bucket(self):
         rng = random.Random(3)
