@@ -1,6 +1,6 @@
 """Streaming per-key point-quantile sketches with frequency-gated admission."""
 
-from .bench import TIMING_FIELDS, StreamReport, run_benchmark, run_single_key
+from .bench import TIMING_FIELDS, StreamReport, run_benchmark
 from .calibration import Calibrator
 from .datagen import (
     ExponentialValues,
@@ -73,7 +73,6 @@ __all__ = [
     "rank_toward",
     "read_csv",
     "run_benchmark",
-    "run_single_key",
     "write_csv",
     "__version__",
 ]

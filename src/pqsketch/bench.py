@@ -12,14 +12,14 @@ reflect the sketch alone, not the bookkeeping used to judge it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from time import perf_counter
 
 from .calibration import Calibrator
 from .datagen import Stream
 from .estimator import PointEstimator
 from .hashing import child_seed
-from .quantiles import ExactOracle, nearest_value, rank_toward
+from .quantiles import ExactOracle, average_error, rank_error
 from .sketch import SEED_SINGLE, PerKeyQuantileSketch, SketchParams
 
 #: Report fields that vary run to run; strip these before comparing reports.
@@ -34,22 +34,13 @@ class StreamReport:
     tracked_keys: int
     eligible_keys: int
     coverage: float
+    unanswered_keys: list[int]
     insert_throughput_mops: float
     query_throughput_mops: float
     wall_time_ms: int
 
     def as_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "ae": self.ae,
-            "per_key": self.per_key,
-            "tracked_keys": self.tracked_keys,
-            "eligible_keys": self.eligible_keys,
-            "coverage": self.coverage,
-            "insert_throughput_mops": self.insert_throughput_mops,
-            "query_throughput_mops": self.query_throughput_mops,
-            "wall_time_ms": self.wall_time_ms,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
@@ -73,30 +64,52 @@ def _config_echo(params: SketchParams, dataset: dict, f_eval: int, repeat: int, 
     }
 
 
-def _timed_inserts(stream: Stream, make_sink) -> tuple[object, float]:
-    """Build a fresh sink and feed it the whole stream.
+class _SingleKeySink:
+    """A bare estimator behind the sketch's interface, tracking one key 0.
 
-    Returns (sink, seconds). Only the feeding loop is timed; chunk
-    materialization happens between timed sections.
+    Stream keys are ignored, which isolates estimator accuracy and speed from
+    hashing and admission.
     """
-    sink = make_sink()
-    insert = sink.insert
+
+    __slots__ = ("estimator",)
+
+    def __init__(self, params: SketchParams) -> None:
+        self.estimator = PointEstimator(
+            params.candidate_capacity,
+            params.representative_capacity,
+            Calibrator(params.quantile, child_seed(params.seed, SEED_SINGLE)),
+        )
+
+    def insert(self, key: int, value: float) -> None:
+        self.estimator.insert(value)
+
+    def tracked_keys(self) -> list[int]:
+        # An estimator buffers a value from its first insert on.
+        est = self.estimator
+        return [0] if est.candidate or est.representative else []
+
+    def query(self, key: int) -> float:
+        return self.estimator.query()
+
+
+def _timed_inserts(stream: Stream, insert) -> float:
+    """Seconds spent feeding the whole stream to insert.
+
+    Only the feeding loop is timed; chunk materialization happens between
+    timed sections.
+    """
     elapsed = 0.0
     for keys, values in stream.chunks():
         t0 = perf_counter()
         for pair in zip(keys, values):
             insert(*pair)
         elapsed += perf_counter() - t0
-    return sink, elapsed
+    return elapsed
 
 
 def _mops(items: int, seconds_per_rep: list[float]) -> float:
-    if items == 0 or not seconds_per_rep:
-        return 0.0
     rates = [items / s / 1e6 for s in seconds_per_rep if s > 0.0]
-    if not rates:
-        return 0.0
-    return sum(rates) / len(rates)
+    return sum(rates) / len(rates) if rates else 0.0
 
 
 def run_benchmark(
@@ -105,6 +118,7 @@ def run_benchmark(
     f_eval: int | None = None,
     repeat: int = 3,
     dataset: dict | None = None,
+    single_key: bool = False,
 ) -> StreamReport:
     """Feed the stream through a composed sketch and report accuracy + speed.
 
@@ -113,6 +127,10 @@ def run_benchmark(
     final repetition's state feeds the accuracy section. Evaluated keys are
     the tracked keys whose true frequency is at least f_eval (defaulting to
     the gate threshold, below which a key cannot finish paying admission).
+    A tracked key whose query raises (a cell can in principle retain only
+    sentinels) is listed in unanswered_keys: it counts as covered but adds
+    no row and no error. With single_key, one bare estimator takes every
+    value as key 0.
     """
     t_start = perf_counter()
     if repeat < 1:
@@ -120,47 +138,47 @@ def run_benchmark(
     if f_eval is None:
         f_eval = params.gate_threshold
     w = params.quantile
+    make_sink = _SingleKeySink if single_key else PerKeyQuantileSketch
 
-    sketch = None
     insert_seconds: list[float] = []
     for _ in range(repeat):
-        sketch, seconds = _timed_inserts(stream, lambda: PerKeyQuantileSketch(params))
-        insert_seconds.append(seconds)
-    assert sketch is not None
+        sink = make_sink(params)
+        insert_seconds.append(_timed_inserts(stream, sink.insert))
 
     oracle = ExactOracle()
     oracle_insert = oracle.insert
     for keys, values in stream.chunks():
         for k, v in zip(keys, values):
-            oracle_insert(k, v)
+            oracle_insert(0 if single_key else k, v)
 
-    tracked = sorted(set(sketch.tracked_keys()))
+    tracked = sorted(set(sink.tracked_keys()))
+    query = sink.query
     query_seconds: list[float] = []
     for _ in range(repeat):
         t0 = perf_counter()
         for k in tracked:
             try:
-                sketch.query(k)
+                query(k)
             except ValueError:
-                # A cell can in principle retain only sentinels; it stays
-                # tracked but contributes no estimate.
                 pass
         query_seconds.append(perf_counter() - t0)
 
     eligible = {k for k in oracle.keys() if oracle.count(k) >= f_eval}
     evaluated = [k for k in tracked if k in eligible]
+    estimates: list[tuple[int, float]] = []
     rows: list[dict] = []
-    total_err = 0.0
-    for k in evaluated:
+    unanswered: list[int] = []
+    for k in tracked:
         try:
-            estimate = sketch.query(k)
+            estimate = query(k)
         except ValueError:
+            unanswered.append(k)
             continue
+        if k not in eligible:
+            continue
+        estimates.append((k, estimate))
         ordered = oracle.sorted_values(k)
-        snapped = nearest_value(ordered, estimate)
-        rank = rank_toward(ordered, snapped, w)
-        err = abs(rank - w)
-        total_err += err
+        rank, err = rank_error(ordered, estimate, w)
         rows.append(
             {
                 "key": int(k),
@@ -170,114 +188,18 @@ def run_benchmark(
                 "abs_error": err,
             }
         )
-    ae = total_err / len(rows) if rows else None
+    ae = average_error(estimates, oracle, w) if estimates else None
     coverage = (len(evaluated) / len(eligible)) if eligible else 1.0
 
     return StreamReport(
-        config=_config_echo(params, dataset or {"source": "unspecified"}, f_eval, repeat, False),
+        config=_config_echo(params, dataset or {"source": "unspecified"}, f_eval, repeat, single_key),
         ae=ae,
         per_key=rows,
         tracked_keys=len(tracked),
         eligible_keys=len(eligible),
         coverage=coverage,
+        unanswered_keys=unanswered,
         insert_throughput_mops=_mops(len(stream), insert_seconds),
         query_throughput_mops=_mops(len(tracked), query_seconds),
-        wall_time_ms=int((perf_counter() - t_start) * 1000),
-    )
-
-
-class _SingleKeySink:
-    """Adapts a bare estimator to the (key, value) feeding loop."""
-
-    __slots__ = ("estimator",)
-
-    def __init__(self, estimator: PointEstimator) -> None:
-        self.estimator = estimator
-
-    def insert(self, key: int, value: float) -> None:
-        self.estimator.insert(value)
-
-
-def run_single_key(
-    stream: Stream,
-    params: SketchParams,
-    f_eval: int | None = None,
-    repeat: int = 3,
-    dataset: dict | None = None,
-) -> StreamReport:
-    """Benchmark one bare estimator; keys in the stream are ignored.
-
-    Isolates estimator accuracy and speed from hashing and admission. The
-    report has the same shape as the full benchmark with a single implicit
-    key 0.
-    """
-    t_start = perf_counter()
-    if repeat < 1:
-        raise ValueError(f"repeat must be at least 1, got {repeat!r}")
-    if f_eval is None:
-        f_eval = params.gate_threshold
-    w = params.quantile
-
-    def make_sink() -> _SingleKeySink:
-        return _SingleKeySink(
-            PointEstimator(
-                params.candidate_capacity,
-                params.representative_capacity,
-                Calibrator(w, child_seed(params.seed, SEED_SINGLE)),
-            )
-        )
-
-    sink = None
-    insert_seconds: list[float] = []
-    for _ in range(repeat):
-        sink, seconds = _timed_inserts(stream, make_sink)
-        insert_seconds.append(seconds)
-    assert sink is not None
-    estimator = sink.estimator
-
-    n = len(stream)
-    tracked = 1 if n > 0 else 0
-    query_seconds: list[float] = []
-    if tracked:
-        for _ in range(repeat):
-            t0 = perf_counter()
-            try:
-                estimator.query()
-            except ValueError:
-                pass
-            query_seconds.append(perf_counter() - t0)
-
-    eligible = 1 if n >= f_eval and n > 0 else 0
-    rows: list[dict] = []
-    if tracked and eligible:
-        try:
-            estimate = estimator.query()
-        except ValueError:
-            estimate = None
-        if estimate is not None:
-            ordered = sorted(stream.values.tolist())
-            snapped = nearest_value(ordered, estimate)
-            rank = rank_toward(ordered, snapped, w)
-            rows.append(
-                {
-                    "key": 0,
-                    "true_freq": n,
-                    "estimated_value": estimate,
-                    "true_rank": rank,
-                    "abs_error": abs(rank - w),
-                }
-            )
-    ae = rows[0]["abs_error"] if rows else None
-    coverage = (len(rows) / eligible) if eligible else 1.0
-
-    return StreamReport(
-        config=_config_echo(params, dataset or {"source": "unspecified"}, f_eval, repeat, True),
-        ae=ae,
-        per_key=rows,
-        tracked_keys=tracked,
-        eligible_keys=eligible,
-        coverage=coverage,
-        insert_throughput_mops=_mops(n, insert_seconds),
-        query_throughput_mops=_mops(tracked, query_seconds),
         wall_time_ms=int((perf_counter() - t_start) * 1000),
     )

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 
-from .quantiles import NEG_INF, POS_INF, Value
+from .quantiles import NEG_INF, POS_INF, Value, check_weight
 
 
 class Calibrator:
@@ -32,10 +32,7 @@ class Calibrator:
     __slots__ = ("w", "seed", "p", "sentinel", "_rng")
 
     def __init__(self, w: float, seed: int = 0) -> None:
-        if isinstance(w, float) and math.isnan(w):
-            raise ValueError("quantile weight must not be NaN")
-        if not 0.0 <= w <= 1.0:
-            raise ValueError(f"quantile weight must lie in [0, 1], got {w!r}")
+        check_weight(w)
         self.w = float(w)
         self.seed = seed
         if self.w > 0.5:

@@ -10,22 +10,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
-from .bench import run_benchmark, run_single_key
+from .bench import run_benchmark
 from .datagen import generate, parse_stream_spec, read_csv, write_csv
 from .hashing import child_seed
 from .sketch import SEED_DATA, SketchParams
-
-
-def _ratio(text: str) -> Fraction:
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
-    return value
 
 
 def _add_bench_parser(sub: argparse._SubParsersAction) -> None:
@@ -44,8 +33,7 @@ def _add_bench_parser(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--d", type=int, default=7, help="cells per bucket (default 7)")
     p.add_argument("--q", type=float, default=0.1, help="memory fraction for the counter tower (default 0.1)")
     p.add_argument("--T", type=int, default=40, help="admission gate threshold (default 40)")
-    p.add_argument("--lambda", dest="eviction_ratio", type=_ratio, default=Fraction(4),
-                   help="eviction vote ratio (default 4)")
+    p.add_argument("--lambda", dest="eviction_ratio", default="4", help="eviction vote ratio (default 4)")
     p.add_argument("--r", type=int, default=16, help="candidate buffer capacity (default 16)")
     p.add_argument("--s", type=int, default=10, help="representative buffer capacity (default 10)")
     p.add_argument("--seed", type=int, default=1, help="seed for all randomness (default 1)")
@@ -84,8 +72,9 @@ def _run_bench(args: argparse.Namespace) -> int:
         spec = parse_stream_spec(args.synthetic, seed=child_seed(args.seed, SEED_DATA))
         stream = generate(spec)
         dataset = spec.describe()
-    runner = run_single_key if args.single_key else run_benchmark
-    report = runner(stream, params, f_eval=args.f_eval, repeat=args.repeat, dataset=dataset)
+    report = run_benchmark(
+        stream, params, f_eval=args.f_eval, repeat=args.repeat, dataset=dataset, single_key=args.single_key
+    )
     text = report.to_json()
     if args.report is None:
         sys.stdout.write(text)

@@ -19,6 +19,8 @@ from typing import Iterator, Union
 
 import numpy as np
 
+from .hashing import as_key
+
 
 @dataclass(frozen=True)
 class ZipfKeys:
@@ -271,8 +273,10 @@ def read_csv(path) -> Stream:
                 key = int(left)
             except ValueError:
                 raise ValueError(f"line {lineno}: key {left!r} is not a decimal integer") from None
-            if key < 0 or key >= 1 << 64:
-                raise ValueError(f"line {lineno}: key {key} outside the unsigned 64-bit range")
+            try:
+                key = as_key(key)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
             try:
                 value = float(right)
             except ValueError:

@@ -20,6 +20,13 @@ from .calibration import Calibrator
 from .quantiles import NEG_INF, Value
 
 
+def check_count(name: str, value: int, even: bool = False) -> None:
+    """The one check of a size parameter: a positive (and, if asked, even) int."""
+    if not isinstance(value, int) or value < 1 or (even and value % 2):
+        kind = "positive even integer" if even else "positive integer"
+        raise ValueError(f"{name} must be a {kind}, got {value!r}")
+
+
 class PointEstimator:
     """Fixed-memory estimator of one quantile of one value stream.
 
@@ -37,12 +44,8 @@ class PointEstimator:
         representative_capacity: int = 10,
         calibrator: Calibrator | None = None,
     ) -> None:
-        for name, cap in (
-            ("candidate_capacity", candidate_capacity),
-            ("representative_capacity", representative_capacity),
-        ):
-            if not isinstance(cap, int) or cap < 2 or cap % 2:
-                raise ValueError(f"{name} must be a positive even integer, got {cap!r}")
+        check_count("candidate_capacity", candidate_capacity, even=True)
+        check_count("representative_capacity", representative_capacity, even=True)
         self._r = candidate_capacity
         self._s = representative_capacity
         self._calibrator = calibrator if calibrator is not None else Calibrator(0.5, 0)

@@ -6,6 +6,8 @@ through these functions, so two runs with the same seed replay bit for bit.
 """
 from __future__ import annotations
 
+import operator
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xFF51AFD7ED558CCD
@@ -30,6 +32,17 @@ def hash_key(key: int, seed: int) -> int:
     x = (x * _MIX2) & _MASK
     x ^= x >> 33
     return x
+
+
+def as_key(key) -> int:
+    """The key as an int in [0, 2^64), the range every hash assumes.
+
+    Raises TypeError for a non-integer key, ValueError outside the range.
+    """
+    key = operator.index(key)
+    if not 0 <= key <= _MASK:
+        raise ValueError(f"key {key} outside the unsigned 64-bit range")
+    return key
 
 
 def child_seed(seed: int, index: int) -> int:

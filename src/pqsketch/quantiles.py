@@ -25,7 +25,8 @@ POS_INF = float("inf")
 Value = int | float
 
 
-def _check_weight(w: float) -> None:
+def check_weight(w: float) -> None:
+    """The one check of a quantile weight: a number in [0, 1], not NaN."""
     if isinstance(w, float) and math.isnan(w):
         raise ValueError("quantile weight must not be NaN")
     if not 0.0 <= w <= 1.0:
@@ -38,7 +39,7 @@ def quantile_index(n: int, w: float) -> int:
     Exact: the product w * (n - 1) is floored in rational arithmetic for the
     float w the caller actually passed, never in binary floating point.
     """
-    _check_weight(w)
+    check_weight(w)
     if n < 1:
         raise ValueError("empty multiset has no quantile")
     frac = Fraction(w)
@@ -86,7 +87,7 @@ def rank_toward(ordered: Sequence[Value], x: Value, w: float) -> float:
     scores zero error even when the value repeats. For a unique x it equals
     ``rank_of``. ``ordered`` must already be sorted ascending.
     """
-    _check_weight(w)
+    check_weight(w)
     n = len(ordered)
     if n == 0:
         raise ValueError("empty multiset has no ranks")
@@ -121,6 +122,16 @@ def nearest_value(ordered: Sequence[Value], x: Value) -> Value:
     if x - left <= right - x:
         return left
     return right
+
+
+def rank_error(ordered: Sequence[Value], estimate: Value, w: float) -> tuple[float, float]:
+    """(rank, |rank - w|) of an estimate against a sorted multiset.
+
+    The estimate is snapped to the nearest present value and ranked with
+    ties resolved toward w: the one scoring rule of the package.
+    """
+    rank = rank_toward(ordered, nearest_value(ordered, estimate), w)
+    return rank, abs(rank - w)
 
 
 class ExactOracle:
@@ -163,15 +174,6 @@ class ExactOracle:
         ordered = self.sorted_values(key)
         return ordered[quantile_index(len(ordered), w)]
 
-    def rank(self, key: int, x: Value) -> float:
-        ordered = self.sorted_values(key)
-        if len(ordered) == 1:
-            return 0.5
-        i = bisect_left(ordered, x)
-        if i == len(ordered) or ordered[i] != x:
-            raise ValueError(f"value {x!r} absent from multiset")
-        return i / (len(ordered) - 1)
-
 
 def average_error(
     estimates: Iterable[tuple[int, Value]],
@@ -180,21 +182,19 @@ def average_error(
 ) -> float:
     """Mean rank-space error of per-key estimates against exact multisets.
 
-    Each (key, estimate) pair is snapped to the nearest value present in the
-    key's multiset, ranked with ties resolved toward w, and scored |rank - w|.
+    Each (key, estimate) pair is scored by ``rank_error`` against the key's
+    multiset.
 
     :raises ValueError: if the estimate sequence is empty ("no queries") or a
         key is absent from the oracle.
     """
-    _check_weight(w)
+    check_weight(w)
     total = 0.0
     count = 0
     for key, estimate in estimates:
         if not math.isfinite(estimate):
             raise ValueError(f"estimate for key {key!r} must be finite, got {estimate!r}")
-        ordered = oracle.sorted_values(key)
-        snapped = nearest_value(ordered, estimate)
-        total += abs(rank_toward(ordered, snapped, w) - w)
+        total += rank_error(oracle.sorted_values(key), estimate, w)[1]
         count += 1
     if count == 0:
         raise ValueError("no queries to average")

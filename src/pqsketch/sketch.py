@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .hashing import child_seed
-from .quantiles import Value
+from .estimator import check_count
+from .hashing import as_key, child_seed
+from .quantiles import Value, check_weight
 from .tower import DEFAULT_WIDTHS, TowerFilter
 from .value_sketch import InsertResult, ValueSketch, as_ratio
 
@@ -85,12 +86,8 @@ class SketchParams:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        if isinstance(self.quantile, float) and math.isnan(self.quantile):
-            raise ValueError("quantile must not be NaN")
-        if not 0.0 <= self.quantile <= 1.0:
-            raise ValueError(f"quantile must lie in [0, 1], got {self.quantile!r}")
-        if not isinstance(self.total_memory_bytes, int) or self.total_memory_bytes < 1:
-            raise ValueError(f"total_memory_bytes must be a positive integer, got {self.total_memory_bytes!r}")
+        check_weight(self.quantile)
+        check_count("total_memory_bytes", self.total_memory_bytes)
         if not 0.0 < self.tower_fraction < 1.0:
             raise ValueError(f"tower fraction must lie strictly inside (0, 1), got {self.tower_fraction!r}")
         if not isinstance(self.gate_threshold, int) or self.gate_threshold < 0:
@@ -102,13 +99,10 @@ class SketchParams:
             raise ValueError(
                 f"gate threshold {self.gate_threshold} can never open: the tower counts to at most {top_limit}"
             )
-        if not isinstance(self.cells_per_bucket, int) or self.cells_per_bucket < 1:
-            raise ValueError(f"cells per bucket must be a positive integer, got {self.cells_per_bucket!r}")
+        check_count("cells per bucket", self.cells_per_bucket)
         object.__setattr__(self, "eviction_ratio", as_ratio(self.eviction_ratio))
-        for name in ("candidate_capacity", "representative_capacity"):
-            cap = getattr(self, name)
-            if not isinstance(cap, int) or cap < 2 or cap % 2:
-                raise ValueError(f"{name} must be a positive even integer, got {cap!r}")
+        check_count("candidate_capacity", self.candidate_capacity, even=True)
+        check_count("representative_capacity", self.representative_capacity, even=True)
 
 
 @dataclass(frozen=True)
@@ -213,6 +207,10 @@ class PerKeyQuantileSketch:
         grow and a saturated counter only leaves the min. Every other key
         takes one tower step and, once admitted, goes to the value sketch.
 
+        A key without a cell is checked by ``as_key`` first, so only such a
+        key can ever get a cell: numpy integers become ints and keys outside
+        [0, 2^64) raise instead of aliasing.
+
         :raises ValueError: for a non-finite value, whether or not the key is
             still gated.
         """
@@ -220,8 +218,10 @@ class PerKeyQuantileSketch:
             raise ValueError(f"inserted values must be finite, got {value!r}")
         values = self.values
         result = values.feed(key, value)
-        if result is None and self.tower.admit(key, self.gate_threshold):
-            result = values.insert(key, value)
+        if result is None:
+            key = as_key(key)
+            if self.tower.admit(key, self.gate_threshold):
+                result = values.insert(key, value)
         return result
 
     def query(self, key: int) -> Value:

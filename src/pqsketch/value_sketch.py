@@ -17,9 +17,9 @@ from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple
 
 from .calibration import Calibrator
-from .estimator import PointEstimator
+from .estimator import PointEstimator, check_count
 from .hashing import cell_seed, hash_key
-from .quantiles import Value
+from .quantiles import Value, check_weight
 
 
 class InsertOutcome(Enum):
@@ -53,7 +53,10 @@ def as_ratio(value) -> Fraction:
             raise ValueError(f"eviction ratio must be finite, got {value!r}")
         ratio = Fraction(str(value))
     else:
-        ratio = Fraction(value)
+        try:
+            ratio = Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"eviction ratio must be a number, got {value!r}") from None
     if ratio <= 0:
         raise ValueError(f"eviction ratio must be positive, got {value!r}")
     return ratio
@@ -102,10 +105,11 @@ class ValueSketch:
         seed: int = 0,
         hash_fn: Callable[[int], int] | None = None,
     ) -> None:
-        if not isinstance(buckets, int) or buckets < 1:
-            raise ValueError(f"bucket count must be a positive integer, got {buckets!r}")
-        if not isinstance(cells_per_bucket, int) or cells_per_bucket < 1:
-            raise ValueError(f"cells per bucket must be a positive integer, got {cells_per_bucket!r}")
+        check_count("bucket count", buckets)
+        check_count("cells per bucket", cells_per_bucket)
+        check_count("candidate_capacity", candidate_capacity, even=True)
+        check_count("representative_capacity", representative_capacity, even=True)
+        check_weight(quantile)
         ratio = as_ratio(eviction_ratio)
         self.eviction_ratio = ratio
         self._ratio_num = ratio.numerator
@@ -123,9 +127,6 @@ class ValueSketch:
         self._resident: dict[int, Cell] = {}
         self._claims = 0
         self.buckets: list[Bucket] = [Bucket(cells_per_bucket) for _ in range(buckets)]
-        # Constructed eagerly so bad (r, s, w) fail here, not at first insert.
-        Calibrator(quantile, seed)
-        PointEstimator(candidate_capacity, representative_capacity)
 
     def bucket_of(self, key: int) -> int:
         h = self._hash_fn

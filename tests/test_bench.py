@@ -5,10 +5,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from pqsketch import SketchParams
-from pqsketch.bench import TIMING_FIELDS, run_benchmark, run_single_key
+from pqsketch import PerKeyQuantileSketch, SketchParams
+from pqsketch.bench import TIMING_FIELDS, run_benchmark
 from pqsketch.cli import main
 from pqsketch.datagen import StreamSpec, UniformValues, ZipfKeys, generate
 
@@ -38,8 +39,8 @@ class TestRunBenchmark:
         d = report.as_dict()
         assert set(d) == {
             "config", "ae", "per_key", "tracked_keys", "eligible_keys",
-            "coverage", "insert_throughput_mops", "query_throughput_mops",
-            "wall_time_ms",
+            "coverage", "unanswered_keys", "insert_throughput_mops",
+            "query_throughput_mops", "wall_time_ms",
         }
         assert d["config"]["w"] == 0.5
         assert d["config"]["memory_bytes"] == 120_000
@@ -87,6 +88,28 @@ class TestRunBenchmark:
         assert report.ae <= 0.1
         assert report.coverage >= 0.9
 
+    def test_unanswered_keys_are_listed_and_still_covered(self):
+        # At w = 0.99 with r = 4 and s = 2 some cells retain only sentinels,
+        # and their queries raise "degenerate estimate".
+        stream = generate(StreamSpec(n_items=200_000, n_keys=5000, seed=1))
+        params = SketchParams(quantile=0.99, candidate_capacity=4, representative_capacity=2, seed=1)
+        report = run_benchmark(stream, params, repeat=1)
+        sketch = PerKeyQuantileSketch(params)
+        for key, value in stream:
+            sketch.insert(key, value)
+        keys, counts = np.unique(stream.keys, return_counts=True)
+        eligible = set(keys[counts >= params.gate_threshold].tolist())
+        evaluated = {k for k in sketch.tracked_keys() if k in eligible}
+        unanswered = report.unanswered_keys
+        assert unanswered and unanswered == sorted(set(unanswered))
+        for key in unanswered:
+            with pytest.raises(ValueError, match="degenerate estimate"):
+                sketch.query(key)
+        assert not {row["key"] for row in report.per_key} & set(unanswered)
+        assert report.eligible_keys == len(eligible)
+        assert report.coverage == len(evaluated) / len(eligible)
+        assert len(report.per_key) + len(evaluated & set(unanswered)) == len(evaluated)
+
     def test_repeat_validation(self):
         with pytest.raises(ValueError, match="repeat"):
             run_benchmark(generate(SMALL), small_params(), repeat=0)
@@ -102,7 +125,7 @@ class TestRunBenchmark:
 class TestRunSingleKey:
     def test_single_estimator_report(self):
         spec = StreamSpec(n_items=20_000, n_keys=50, value_dist=UniformValues(0, 1), seed=3)
-        report = run_single_key(generate(spec), small_params(), repeat=1)
+        report = run_benchmark(generate(spec), small_params(), repeat=1, single_key=True)
         assert report.tracked_keys == 1
         assert report.eligible_keys == 1
         assert report.coverage == 1.0
@@ -115,16 +138,27 @@ class TestRunSingleKey:
 
     def test_short_stream_not_eligible(self):
         spec = StreamSpec(n_items=5, n_keys=5, seed=1)
-        report = run_single_key(generate(spec), small_params(gate_threshold=10), repeat=1)
+        report = run_benchmark(generate(spec), small_params(gate_threshold=10), repeat=1, single_key=True)
         assert report.tracked_keys == 1
         assert report.eligible_keys == 0
         assert report.per_key == []
         assert report.ae is None
         assert report.coverage == 1.0
 
+    def test_unanswered_key_is_listed_and_still_covered(self):
+        # At this seed the estimator ends holding only +inf sentinels.
+        spec = StreamSpec(n_items=50, n_keys=5, seed=1)
+        params = small_params(quantile=0.99, candidate_capacity=4, representative_capacity=2,
+                              gate_threshold=0, seed=24)
+        report = run_benchmark(generate(spec), params, repeat=1, single_key=True)
+        assert report.unanswered_keys == [0]
+        assert report.tracked_keys == report.eligible_keys == 1
+        assert report.per_key == [] and report.ae is None
+        assert report.coverage == 1.0
+
     def test_empty_stream(self):
         spec = StreamSpec(n_items=0, n_keys=5, seed=1)
-        report = run_single_key(generate(spec), small_params(), repeat=1)
+        report = run_benchmark(generate(spec), small_params(), repeat=1, single_key=True)
         assert report.tracked_keys == 0
         assert report.eligible_keys == 0
         assert report.insert_throughput_mops == 0.0
@@ -197,6 +231,13 @@ class TestCli:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["config"]["eviction_ratio"] == "5/2"
+
+    def test_lambda_division_by_zero_exits_2(self, capsys):
+        code = main(["bench", "--synthetic", "n_items=100,n_keys=5", "--repeat", "1",
+                     "--lambda", "1/0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "eviction ratio" in err
 
     def test_missing_input_file_exits_2(self, tmp_path, capsys):
         code = main(["bench", "--input", str(tmp_path / "nope.csv"), "--repeat", "1"])

@@ -201,14 +201,6 @@ class TestExactOracle:
         oracle.insert(1, 3)
         assert oracle.sorted_values(1) == [3, 5]
 
-    def test_rank_helper(self):
-        oracle = ExactOracle()
-        for v in (10, 20, 30):
-            oracle.insert(4, v)
-        assert oracle.rank(4, 20) == 0.5
-        with pytest.raises(ValueError, match="absent"):
-            oracle.rank(4, 25)
-
 
 class TestAverageError:
     def test_two_key_example(self):

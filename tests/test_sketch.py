@@ -3,8 +3,10 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -245,6 +247,36 @@ class TestGate:
             sk.insert(42, bad)
         # Refused before the gate: the key paid nothing.
         assert sk.tower.query(42) == 0
+
+
+class TestKeys:
+    def test_numpy_key_becomes_its_int(self):
+        sk = PerKeyQuantileSketch(SketchParams(gate_threshold=0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sk.insert(np.uint64(5), 1.0).outcome is InsertOutcome.PLACED
+            assert sk.insert(np.uint64(5), 2.0).outcome is InsertOutcome.MATCHED
+            assert sk.insert(5, 3.0).outcome is InsertOutcome.MATCHED
+        keys = list(sk.tracked_keys())
+        assert keys == [5] and type(keys[0]) is int
+
+    def test_keys_outside_the_unsigned_64_bit_range_raise(self):
+        sk = PerKeyQuantileSketch(SketchParams(gate_threshold=0))
+        for bad in (-1, 1 << 64):
+            with pytest.raises(ValueError, match="unsigned 64-bit"):
+                sk.insert(bad, 1.0)
+        with pytest.raises(TypeError):
+            sk.insert(1.5, 1.0)
+        assert list(sk.tracked_keys()) == []
+        # -1 no longer aliases the top key: only the top key itself is tracked.
+        sk.insert((1 << 64) - 1, 1.0)
+        assert list(sk.tracked_keys()) == [(1 << 64) - 1]
+
+    def test_gated_keys_are_checked_too(self):
+        sk = PerKeyQuantileSketch(SketchParams())
+        with pytest.raises(ValueError, match="unsigned 64-bit"):
+            sk.insert(-1, 1.0)
+        assert sk.tower.query((1 << 64) - 1) == 0
 
 
 def gate_first_insert(sketch, key, value):

@@ -47,6 +47,10 @@ class TestAsRatio:
             with pytest.raises(ValueError):
                 as_ratio(bad)
 
+    def test_division_by_zero_is_a_value_error(self):
+        with pytest.raises(ValueError, match="eviction ratio"):
+            as_ratio("1/0")
+
 
 class TestOutcomes:
     def test_place_then_match(self):
