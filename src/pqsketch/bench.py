@@ -19,7 +19,7 @@ from .calibration import Calibrator
 from .datagen import Stream
 from .estimator import PointEstimator
 from .hashing import child_seed
-from .quantiles import ExactOracle, average_error, rank_error
+from .quantiles import ExactOracle, rank_error
 from .sketch import SEED_SINGLE, PerKeyQuantileSketch, SketchParams
 
 #: Report fields that vary run to run; strip these before comparing reports.
@@ -165,9 +165,9 @@ def run_benchmark(
 
     eligible = {k for k in oracle.keys() if oracle.count(k) >= f_eval}
     evaluated = [k for k in tracked if k in eligible]
-    estimates: list[tuple[int, float]] = []
     rows: list[dict] = []
     unanswered: list[int] = []
+    total_error = 0.0
     for k in tracked:
         try:
             estimate = query(k)
@@ -176,9 +176,9 @@ def run_benchmark(
             continue
         if k not in eligible:
             continue
-        estimates.append((k, estimate))
         ordered = oracle.sorted_values(k)
         rank, err = rank_error(ordered, estimate, w)
+        total_error += err
         rows.append(
             {
                 "key": int(k),
@@ -188,7 +188,7 @@ def run_benchmark(
                 "abs_error": err,
             }
         )
-    ae = average_error(estimates, oracle, w) if estimates else None
+    ae = total_error / len(rows) if rows else None
     coverage = (len(evaluated) / len(eligible)) if eligible else 1.0
 
     return StreamReport(

@@ -29,12 +29,11 @@ class Calibrator:
         the same (w, seed) replay identical expansions.
     """
 
-    __slots__ = ("w", "seed", "p", "sentinel", "_rng")
+    __slots__ = ("w", "p", "sentinel", "_rng")
 
     def __init__(self, w: float, seed: int = 0) -> None:
         check_weight(w)
         self.w = float(w)
-        self.seed = seed
         if self.w > 0.5:
             self.p = 1.0 / (2.0 * self.w)
             self.sentinel: float | None = POS_INF
@@ -83,4 +82,4 @@ class Calibrator:
         return out
 
     def __repr__(self) -> str:
-        return f"Calibrator(w={self.w!r}, seed={self.seed!r})"
+        return f"Calibrator(w={self.w!r})"

@@ -20,6 +20,7 @@ from typing import Iterator, Union
 import numpy as np
 
 from .hashing import as_key
+from .quantiles import check_count
 
 
 @dataclass(frozen=True)
@@ -97,8 +98,7 @@ class StreamSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.n_items, int) or self.n_items < 0:
             raise ValueError(f"n_items must be a nonnegative integer, got {self.n_items!r}")
-        if not isinstance(self.n_keys, int) or self.n_keys < 1:
-            raise ValueError(f"n_keys must be a positive integer, got {self.n_keys!r}")
+        check_count("n_keys", self.n_keys)
 
     def describe(self) -> dict:
         """Config-echo form used in benchmark reports."""

@@ -17,14 +17,7 @@ from __future__ import annotations
 import math
 
 from .calibration import Calibrator
-from .quantiles import NEG_INF, Value
-
-
-def check_count(name: str, value: int, even: bool = False) -> None:
-    """The one check of a size parameter: a positive (and, if asked, even) int."""
-    if not isinstance(value, int) or value < 1 or (even and value % 2):
-        kind = "positive even integer" if even else "positive integer"
-        raise ValueError(f"{name} must be a {kind}, got {value!r}")
+from .quantiles import NEG_INF, Value, check_count
 
 
 class PointEstimator:
@@ -36,7 +29,7 @@ class PointEstimator:
         (w = 0.5) with seed 0.
     """
 
-    __slots__ = ("candidate", "representative", "_r", "_s", "_calibrator", "_finite_seen")
+    __slots__ = ("candidate", "representative", "_r", "_s", "_calibrator")
 
     def __init__(
         self,
@@ -51,7 +44,6 @@ class PointEstimator:
         self._calibrator = calibrator if calibrator is not None else Calibrator(0.5, 0)
         self.candidate: list[Value] = []
         self.representative: list[Value] = []
-        self._finite_seen = 0
 
     @property
     def calibrator(self) -> Calibrator:
@@ -69,7 +61,6 @@ class PointEstimator:
         """Insert one finite value, expanding it through the calibrator."""
         if not math.isfinite(value):
             raise ValueError(f"inserted values must be finite, got {value!r}")
-        self._finite_seen += 1
         # Candidate stays strictly below capacity between operations: the
         # append that reaches r triggers an immediate flush.
         c = self.candidate
@@ -117,8 +108,8 @@ class PointEstimator:
         candidate's finite values answer, so a short stream still gets its
         exact median back.
 
-        :raises ValueError: "insufficient data" before any finite insert;
-            "degenerate estimate" if only sentinels remain buffered.
+        :raises ValueError: "insufficient data" while both buffers are empty
+            (before any insert); "degenerate estimate" if only sentinels remain.
         """
         rep = self.representative
         if rep:
@@ -138,7 +129,7 @@ class PointEstimator:
         if finite:
             finite.sort()
             return finite[(len(finite) - 1) >> 1]
-        if self._finite_seen == 0:
+        if not (rep or self.candidate):
             raise ValueError("insufficient data: no finite values inserted")
         raise ValueError("degenerate estimate: only sentinels retained")
 

@@ -33,6 +33,13 @@ def check_weight(w: float) -> None:
         raise ValueError(f"quantile weight must lie in [0, 1], got {w!r}")
 
 
+def check_count(name: str, value: int, even: bool = False) -> None:
+    """The one check of a size parameter: a positive (and, if asked, even) int."""
+    if not isinstance(value, int) or value < 1 or (even and value % 2):
+        kind = "positive even integer" if even else "positive integer"
+        raise ValueError(f"{name} must be a {kind}, got {value!r}")
+
+
 def quantile_index(n: int, w: float) -> int:
     """0-based index of the w-quantile in a sorted multiset of size n.
 

@@ -13,11 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
-from .estimator import check_count
 from .hashing import as_key, child_seed
-from .quantiles import Value, check_weight
+from .quantiles import Value, check_count, check_weight
 from .tower import DEFAULT_WIDTHS, TowerFilter
 from .value_sketch import InsertResult, ValueSketch, as_ratio
 
@@ -107,7 +105,7 @@ class SketchParams:
 
 @dataclass(frozen=True)
 class CapacityPlan:
-    """How a byte budget was spent, plus an optional overflow prediction."""
+    """How a byte budget was spent."""
 
     buckets: int
     bucket_bytes: int
@@ -116,17 +114,14 @@ class CapacityPlan:
     tower_bytes: int
     value_bytes: int
     total_bytes: int
-    collision_probability: float | None = None
 
 
-def plan_capacity(params: SketchParams, expected_keys: int | None = None) -> CapacityPlan:
+def plan_capacity(params: SketchParams) -> CapacityPlan:
     """Resolve a parameter set into concrete array sizes.
 
     The tower gets floor(tower_fraction * total) bytes split evenly over its
     arrays; the remainder buys as many whole buckets as fit. The plan never
-    exceeds the budget. With expected_keys given, the returned plan carries
-    the predicted probability that a bucket overflows its cells when that
-    many distinct keys pass the gate.
+    exceeds the budget.
 
     :raises ValueError: "infeasible layout" when either stage rounds to zero.
     """
@@ -152,9 +147,6 @@ def plan_capacity(params: SketchParams, expected_keys: int | None = None) -> Cap
         raise ValueError(
             f"infeasible layout: {value_budget} bytes cannot cover one {per_bucket}-byte bucket"
         )
-    prediction = None
-    if expected_keys is not None:
-        prediction = collision_probability(expected_keys, buckets, params.cells_per_bucket)
     return CapacityPlan(
         buckets=buckets,
         bucket_bytes=per_bucket,
@@ -163,7 +155,6 @@ def plan_capacity(params: SketchParams, expected_keys: int | None = None) -> Cap
         tower_bytes=per_array * len(DEFAULT_WIDTHS),
         value_bytes=buckets * per_bucket,
         total_bytes=per_array * len(DEFAULT_WIDTHS) + buckets * per_bucket,
-        collision_probability=prediction,
     )
 
 
@@ -207,19 +198,21 @@ class PerKeyQuantileSketch:
         grow and a saturated counter only leaves the min. Every other key
         takes one tower step and, once admitted, goes to the value sketch.
 
-        A key without a cell is checked by ``as_key`` first, so only such a
-        key can ever get a cell: numpy integers become ints and keys outside
-        [0, 2^64) raise instead of aliasing.
+        A key that is not exactly an int goes through ``as_key`` before the
+        lookup, and a key without a cell before the tower, so only a checked
+        key can get a cell.
 
         :raises ValueError: for a non-finite value, whether or not the key is
             still gated.
         """
-        if not math.isfinite(value):
-            raise ValueError(f"inserted values must be finite, got {value!r}")
+        if type(key) is not int:
+            key = as_key(key)
         values = self.values
         result = values.feed(key, value)
         if result is None:
-            key = as_key(key)
+            if not math.isfinite(value):
+                raise ValueError(f"inserted values must be finite, got {value!r}")
+            as_key(key)
             if self.tower.admit(key, self.gate_threshold):
                 result = values.insert(key, value)
         return result
@@ -228,7 +221,7 @@ class PerKeyQuantileSketch:
         """Quantile estimate for a tracked key (KeyError: "not tracked")."""
         return self.values.query(key)
 
-    def tracked_keys(self) -> Iterator[int]:
+    def tracked_keys(self) -> list[int]:
         return self.values.keys()
 
     def __repr__(self) -> str:

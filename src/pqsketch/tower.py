@@ -11,6 +11,7 @@ headroom.
 from __future__ import annotations
 
 from .hashing import child_seed, hash_key
+from .quantiles import check_count
 
 DEFAULT_WIDTHS = (4, 8, 16)
 
@@ -30,8 +31,7 @@ class TowerFilter:
         widths: tuple[int, ...] = DEFAULT_WIDTHS,
         seed: int = 0,
     ) -> None:
-        if not isinstance(bytes_per_array, int) or bytes_per_array < 1:
-            raise ValueError(f"bytes_per_array must be a positive integer, got {bytes_per_array!r}")
+        check_count("bytes_per_array", bytes_per_array)
         if len(widths) < 1 or any(w < 1 for w in widths):
             raise ValueError(f"counter widths must be positive, got {widths!r}")
         if any(a >= b for a, b in zip(widths, widths[1:])):

@@ -14,12 +14,12 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 from .calibration import Calibrator
-from .estimator import PointEstimator, check_count
-from .hashing import cell_seed, hash_key
-from .quantiles import Value, check_weight
+from .estimator import PointEstimator
+from .hashing import as_key, cell_seed, hash_key
+from .quantiles import Value, check_count, check_weight
 
 
 class InsertOutcome(Enum):
@@ -150,12 +150,17 @@ class ValueSketch:
         lost the vote and the key took its cell (the loser's key rides along
         in the result). Rejected: the bucket held, and only its negative vote
         moved.
+
+        Keys go through ``as_key``: a non-int one before the lookup, any before the hash.
         """
-        if not math.isfinite(value):
-            raise ValueError(f"inserted values must be finite, got {value!r}")
+        if type(key) is not int:
+            key = as_key(key)
         matched = self.feed(key, value)
         if matched is not None:
             return matched
+        if not math.isfinite(value):
+            raise ValueError(f"inserted values must be finite, got {value!r}")
+        as_key(key)
         bucket_index = self.bucket_of(key)
         bucket = self.buckets[bucket_index]
         cells = bucket.cells
@@ -193,9 +198,6 @@ class ValueSketch:
         cell.vote_plus += 1
         return _MATCHED
 
-    def find(self, key: int) -> Cell | None:
-        return self._resident.get(key)
-
     def query(self, key: int) -> Value:
         """Quantile estimate for a tracked key.
 
@@ -206,12 +208,9 @@ class ValueSketch:
             raise KeyError(f"key {key!r} not tracked")
         return cell.estimator.query()
 
-    def keys(self) -> Iterator[int]:
-        """Keys of all occupied cells, bucket-major order."""
-        for bucket in self.buckets:
-            for cell in bucket.cells:
-                if cell is not None:
-                    yield cell.key
+    def keys(self) -> list[int]:
+        """Keys of all occupied cells, in the order they claimed their cells."""
+        return list(self._resident)
 
     def tracked_count(self) -> int:
         return len(self._resident)

@@ -153,7 +153,6 @@ class TestQuery:
 
     def test_sentinel_median_scans_toward_finite(self):
         e = PointEstimator(candidate_capacity=4, representative_capacity=4)
-        e._finite_seen = 1
         e.representative.extend([NEG_INF, NEG_INF, 5.0, POS_INF])
         assert e.query() == 5.0
         e.representative[:] = [NEG_INF, 3.0, POS_INF, POS_INF]
@@ -161,14 +160,12 @@ class TestQuery:
 
     def test_all_sentinel_representative_falls_back_to_candidate(self):
         e = PointEstimator(candidate_capacity=4, representative_capacity=4)
-        e._finite_seen = 1
         e.representative.extend([NEG_INF, NEG_INF, NEG_INF, POS_INF])
         e.candidate.append(7.0)
         assert e.query() == 7.0
 
     def test_degenerate_when_only_sentinels_survive(self):
         e = PointEstimator(candidate_capacity=4, representative_capacity=4)
-        e._finite_seen = 5
         e.representative.extend([POS_INF, POS_INF])
         with pytest.raises(ValueError, match="degenerate estimate"):
             e.query()

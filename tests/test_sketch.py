@@ -120,13 +120,6 @@ class TestPlanCapacity:
         assert plan.value_bytes == 459116
         assert plan.total_bytes == 510314
         assert plan.total_bytes <= 512_000
-        assert plan.collision_probability is None
-
-    def test_expected_keys_attaches_prediction(self):
-        plan = plan_capacity(SketchParams(), expected_keys=1000)
-        assert plan.collision_probability == pytest.approx(
-            collision_probability(1000, 266, 7)
-        )
 
     def test_infeasible_budgets(self):
         with pytest.raises(ValueError, match="infeasible layout"):
@@ -277,6 +270,33 @@ class TestKeys:
         with pytest.raises(ValueError, match="unsigned 64-bit"):
             sk.insert(-1, 1.0)
         assert sk.tower.query((1 << 64) - 1) == 0
+
+    def test_float_key_raises_even_when_its_int_holds_a_cell(self):
+        sk = PerKeyQuantileSketch(SketchParams(gate_threshold=0))
+        sk.insert(5, 1.0)
+        before = cell_state(sk.values, 5)
+        for bad in (5.0, 6.0):
+            with pytest.raises(TypeError):
+                sk.insert(bad, 2.0)
+        assert cell_state(sk.values, 5) == before
+        assert sk.tracked_keys() == [5]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_resident_key_refuses_non_finite_values(self, bad):
+        sk = PerKeyQuantileSketch(SketchParams(quantile=0.9, gate_threshold=0))
+        for value in (1.0, 2.0, 3.0):
+            sk.insert(5, value)
+        rng = sk.values._resident[5].estimator.calibrator._rng
+        before = cell_state(sk.values, 5), rng.getstate()
+        with pytest.raises(ValueError, match="finite"):
+            sk.insert(5, bad)
+        assert (cell_state(sk.values, 5), rng.getstate()) == before
+
+
+def cell_state(values, key):
+    """A resident key's vote and buffers, copied."""
+    cell = values._resident[key]
+    return cell.vote_plus, list(cell.estimator.candidate), list(cell.estimator.representative)
 
 
 def gate_first_insert(sketch, key, value):

@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import random
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -224,7 +226,6 @@ class TestResidentIndex:
             held = scan()
             assert vs._resident == held
             for probe in probes:
-                assert vs.find(probe) is held.get(probe)
                 if probe in held:
                     assert vs.query(probe) == held[probe].estimator.query()
                 else:
@@ -241,6 +242,35 @@ class TestResidentIndex:
                 assert cell.vote_plus == votes + 1
         assert scan() == held
         assert vs._resident == held
+
+
+class TestKeys:
+    """ValueSketch.insert follows the key rule of hashing.as_key."""
+
+    def test_keys_outside_the_unsigned_64_bit_range_raise(self):
+        vs = ValueSketch(buckets=64, cells_per_bucket=2, seed=1)
+        with pytest.raises(ValueError, match="unsigned 64-bit"):
+            vs.insert(-1, 1.0)
+        assert vs.insert((1 << 64) - 1, 1.0).outcome is InsertOutcome.PLACED
+        assert vs.keys() == [(1 << 64) - 1]
+
+    def test_float_key_raises_even_when_its_int_holds_a_cell(self):
+        vs = ValueSketch(buckets=8, cells_per_bucket=2, seed=1)
+        vs.insert(5, 1.0)
+        cell = vs._resident[5]
+        with pytest.raises(TypeError):
+            vs.insert(5.0, 2.0)
+        assert cell.vote_plus == 1
+        assert cell.estimator.candidate == [1.0] and cell.estimator.representative == []
+
+    def test_resident_numpy_key_is_matched(self):
+        vs = ValueSketch(buckets=8, cells_per_bucket=2, seed=1)
+        vs.insert(5, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert vs.insert(np.uint64(5), 2.0).outcome is InsertOutcome.MATCHED
+            assert vs.insert(np.int64(6), 3.0).outcome is InsertOutcome.PLACED
+        assert vs.keys() == [5, 6] and all(type(k) is int for k in vs.keys())
 
 
 class TestPlacement:
@@ -281,16 +311,16 @@ class TestPlacement:
         cells = vs.buckets[0].cells
         a = cells[0].estimator.calibrator
         b = cells[1].estimator.calibrator
-        assert a.seed != b.seed
+        assert a._rng.getstate() != b._rng.getstate()
 
     def test_reclaimed_cell_gets_a_fresh_stream(self):
-        vs = single_bucket(eviction_ratio=1, cells=1)
+        vs = single_bucket(eviction_ratio=1, cells=1, quantile=0.9)
         vs.insert(1, 1.0)
-        first = vs.buckets[0].cells[0].estimator.calibrator.seed
+        first = vs.buckets[0].cells[0].estimator.calibrator
         vs.insert(2, 1.0)
-        second = vs.buckets[0].cells[0].estimator.calibrator.seed
+        second = vs.buckets[0].cells[0].estimator.calibrator
         assert vs.buckets[0].cells[0].key == 2
-        assert first != second
+        assert first._rng.getstate() != second._rng.getstate()
 
 
 class TestEndToEnd:
