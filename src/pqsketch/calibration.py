@@ -29,23 +29,37 @@ class Calibrator:
         the same (w, seed) replay identical expansions.
     """
 
-    __slots__ = ("w", "p", "sentinel", "_rng")
+    __slots__ = ("w", "sentinel", "_log_q", "_rng")
 
     def __init__(self, w: float, seed: int = 0) -> None:
         check_weight(w)
         self.w = float(w)
         if self.w > 0.5:
-            self.p = 1.0 / (2.0 * self.w)
             self.sentinel: float | None = POS_INF
         elif self.w < 0.5:
-            self.p = 1.0 / (2.0 - 2.0 * self.w)
             self.sentinel = NEG_INF
         else:
-            self.p = 1.0
             self.sentinel = None
         # Only p < 1 ever draws; an identity calibrator holds no generator,
-        # which saves a Mersenne Twister (about 2.5 KB) per median cell.
-        self._rng = random.Random(seed) if self.p < 1.0 else None
+        # and no state at all, so one instance (IDENTITY) serves every user.
+        # A draw divides by ln(1 - p), so that is stored rather than p itself.
+        p = self.p
+        if p < 1.0:
+            self._log_q = math.log1p(-p)
+            self._rng = random.Random(seed)
+        else:
+            self._log_q = 0.0
+            self._rng = None
+
+    @property
+    def p(self) -> float:
+        """Success probability of Z: 1/(2w) above the median, 1/(2 - 2w) below, 1 at it."""
+        w = self.w
+        if w > 0.5:
+            return 1.0 / (2.0 * w)
+        if w < 0.5:
+            return 1.0 / (2.0 - 2.0 * w)
+        return 1.0
 
     @property
     def is_identity(self) -> bool:
@@ -59,11 +73,10 @@ class Calibrator:
         to >= 1 (U = 1.0 maps to 0). p = 1 short-circuits without consuming
         randomness: identity calibrators hold no generator.
         """
-        p = self.p
-        if p >= 1.0:
+        rng = self._rng
+        if rng is None:
             return 1
-        u = 1.0 - self._rng.random()
-        z = math.ceil(math.log(u) / math.log1p(-p))
+        z = math.ceil(math.log(1.0 - rng.random()) / self._log_q)
         return z if z >= 1 else 1
 
     def calibrate(self, value: Value) -> list[Value]:
@@ -83,3 +96,8 @@ class Calibrator:
 
     def __repr__(self) -> str:
         return f"Calibrator(w={self.w!r})"
+
+
+#: The identity calibrator (w = 0.5). It draws nothing and holds no state,
+#: so estimators share this one instance instead of building their own.
+IDENTITY = Calibrator(0.5)

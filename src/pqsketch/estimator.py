@@ -15,9 +15,10 @@ memory and amortized O((r + s) / r) comparisons per insert.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 
-from .calibration import Calibrator
-from .quantiles import NEG_INF, Value, check_count
+from .calibration import IDENTITY, Calibrator
+from .quantiles import NEG_INF, POS_INF, Value, check_count
 
 
 class PointEstimator:
@@ -25,8 +26,8 @@ class PointEstimator:
 
     :param candidate_capacity: r, a positive even batch size.
     :param representative_capacity: s, a positive even retention size.
-    :param calibrator: quantile recentering stage; defaults to the identity
-        (w = 0.5) with seed 0.
+    :param calibrator: quantile recentering stage; defaults to the shared
+        identity (w = 0.5), which holds no state.
     """
 
     __slots__ = ("candidate", "representative", "_r", "_s", "_calibrator")
@@ -41,7 +42,7 @@ class PointEstimator:
         check_count("representative_capacity", representative_capacity, even=True)
         self._r = candidate_capacity
         self._s = representative_capacity
-        self._calibrator = calibrator if calibrator is not None else Calibrator(0.5, 0)
+        self._calibrator = calibrator if calibrator is not None else IDENTITY
         self.candidate: list[Value] = []
         self.representative: list[Value] = []
 
@@ -91,13 +92,23 @@ class PointEstimator:
         half = self._r >> 1
         lo = c[half - 1]
         hi = c[half]
-        c.clear()
         rep = self.representative
         rep.append(lo)
         rep.append(hi)
         if len(rep) > self._s:
             rep.remove(max(rep))
             rep.remove(min(rep))
+        # The representative can end up all sentinels (a batch of sentinels,
+        # or eviction of its last finite value as an extreme) only when the
+        # pair reached a sentinel. Then the batch's finite value nearest the
+        # middle takes a sentinel's place, so the estimate keeps a finite value.
+        if hi == POS_INF:
+            if min(rep) == POS_INF and c[0] != POS_INF:
+                rep[-1] = c[bisect_left(c, POS_INF) - 1]
+        elif lo == NEG_INF:
+            if max(rep) == NEG_INF and c[-1] != NEG_INF:
+                rep[-1] = c[bisect_right(c, NEG_INF)]
+        c.clear()
 
     def query(self) -> Value:
         """Current estimate: the lower median of the representative.
@@ -109,7 +120,8 @@ class PointEstimator:
         exact median back.
 
         :raises ValueError: "insufficient data" while both buffers are empty
-            (before any insert); "degenerate estimate" if only sentinels remain.
+            (before any insert); "degenerate estimate" if only sentinels remain,
+            which inserts never bring about (see _flush), only buffers set by hand.
         """
         rep = self.representative
         if rep:

@@ -23,7 +23,9 @@ def hash_key(key: int, seed: int) -> int:
     """Seeded hash of an integer key onto 64 bits: mix64 of key + seed.
 
     The mix is written out here rather than called, because this is the
-    per-item hash and a call costs as much as a few of its steps.
+    per-item hash and a call costs as much as a few of its steps. This is the
+    reference copy; the one other copy is inlined in ``TowerFilter.admit``,
+    and tests/test_tower.py::TestAdmit pins it to this one.
     """
     x = (key + seed) & _MASK
     x ^= x >> 33

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hashing import as_key, child_seed
+from .hashing import _MASK, as_key, child_seed
 from .quantiles import Value, check_count, check_weight
 from .tower import DEFAULT_WIDTHS, TowerFilter
 from .value_sketch import InsertResult, ValueSketch, as_ratio
@@ -199,8 +199,9 @@ class PerKeyQuantileSketch:
         takes one tower step and, once admitted, goes to the value sketch.
 
         A key that is not exactly an int goes through ``as_key`` before the
-        lookup, and a key without a cell before the tower, so only a checked
-        key can get a cell.
+        lookup, and a key without a cell is range-checked before the tower, so
+        only a checked key can get a cell. An admitted key is checked once:
+        it goes straight to the value sketch's placement step.
 
         :raises ValueError: for a non-finite value, whether or not the key is
             still gated.
@@ -212,9 +213,10 @@ class PerKeyQuantileSketch:
         if result is None:
             if not math.isfinite(value):
                 raise ValueError(f"inserted values must be finite, got {value!r}")
-            as_key(key)
+            if not 0 <= key <= _MASK:
+                as_key(key)  # raises the range error
             if self.tower.admit(key, self.gate_threshold):
-                result = values.insert(key, value)
+                result = values._place(key, value)
         return result
 
     def query(self, key: int) -> Value:

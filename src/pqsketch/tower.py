@@ -10,7 +10,7 @@ headroom.
 """
 from __future__ import annotations
 
-from .hashing import child_seed, hash_key
+from .hashing import _MASK, _MIX1, _MIX2, child_seed, hash_key
 from .quantiles import check_count
 
 DEFAULT_WIDTHS = (4, 8, 16)
@@ -67,11 +67,19 @@ class TowerFilter:
         Otherwise key pays its fee (its unsaturated counters are bumped) and
         the answer is False. Same as query(key) >= threshold followed, when
         that fails, by insert(key), but hashing each array's index once.
+
+        This is the per-item gate step, so hash_key's mix is written out
+        here instead of called; TestAdmit pins it to hash_key.
         """
         unsaturated = []
         estimate = self._top_limit
         for seed, counters, limit, arr in self._layers:
-            idx = hash_key(key, seed) % counters
+            x = (key + seed) & _MASK
+            x ^= x >> 33
+            x = (x * _MIX1) & _MASK
+            x ^= x >> 33
+            x = (x * _MIX2) & _MASK
+            idx = (x ^ (x >> 33)) % counters
             c = arr[idx]
             if c < limit:
                 unsaturated.append((arr, idx))

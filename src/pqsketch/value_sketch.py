@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .calibration import Calibrator
+from .calibration import IDENTITY, Calibrator
 from .estimator import PointEstimator
 from .hashing import as_key, cell_seed, hash_key
 from .quantiles import Value, check_count, check_weight
@@ -135,9 +135,14 @@ class ValueSketch:
         return hash_key(key, self.seed) % self._u
 
     def _new_cell(self, key: int, bucket_index: int) -> Cell:
-        sub = cell_seed(self.seed, bucket_index, self._claims)
+        # At w = 0.5 every cell shares the stateless identity calibrator; any
+        # other w gives each claim its own seeded stream.
+        if self.quantile == 0.5:
+            cal = IDENTITY
+        else:
+            cal = Calibrator(self.quantile, cell_seed(self.seed, bucket_index, self._claims))
         self._claims += 1
-        est = PointEstimator(self._r, self._s, Calibrator(self.quantile, sub))
+        est = PointEstimator(self._r, self._s, cal)
         cell = Cell(key, 1, est)
         self._resident[key] = cell
         return cell
@@ -161,6 +166,14 @@ class ValueSketch:
         if not math.isfinite(value):
             raise ValueError(f"inserted values must be finite, got {value!r}")
         as_key(key)
+        return self._place(key, value)
+
+    def _place(self, key: int, value: Value) -> InsertResult:
+        """Claim a cell for a checked key without one, evict for it, or reject it.
+
+        The caller has run ``feed`` (which missed) and checked that value is
+        finite and key lies in [0, 2^64).
+        """
         bucket_index = self.bucket_of(key)
         bucket = self.buckets[bucket_index]
         cells = bucket.cells

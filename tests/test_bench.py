@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from pqsketch import PerKeyQuantileSketch, SketchParams
+from pqsketch import POS_INF, PerKeyQuantileSketch, SketchParams, bench
 from pqsketch.bench import TIMING_FIELDS, run_benchmark
 from pqsketch.cli import main
 from pqsketch.datagen import StreamSpec, UniformValues, ZipfKeys, generate
@@ -88,23 +88,37 @@ class TestRunBenchmark:
         assert report.ae <= 0.1
         assert report.coverage >= 0.9
 
-    def test_unanswered_keys_are_listed_and_still_covered(self):
-        # At w = 0.99 with r = 4 and s = 2 some cells retain only sentinels,
-        # and their queries raise "degenerate estimate".
+    def test_unanswered_keys_are_listed_and_still_covered(self, monkeypatch):
+        # Inserts never leave a cell with only sentinels, so every third
+        # tracked key has its buffers set by hand to sentinels once the fill
+        # is done; their queries raise "degenerate estimate".
         stream = generate(StreamSpec(n_items=200_000, n_keys=5000, seed=1))
         params = SketchParams(quantile=0.99, candidate_capacity=4, representative_capacity=2, seed=1)
+        spoiled = []
+
+        class SpoiledSketch(PerKeyQuantileSketch):
+            def tracked_keys(self):
+                keys = super().tracked_keys()
+                if not spoiled:
+                    spoiled.extend(sorted(keys)[::3])
+                    for key in spoiled:
+                        est = self.values._resident[key].estimator
+                        est.candidate[:] = []
+                        est.representative[:] = [POS_INF, POS_INF]
+                return keys
+
+        monkeypatch.setattr(bench, "PerKeyQuantileSketch", SpoiledSketch)
         report = run_benchmark(stream, params, repeat=1)
         sketch = PerKeyQuantileSketch(params)
         for key, value in stream:
             sketch.insert(key, value)
+        for key in sketch.tracked_keys():
+            sketch.query(key)
         keys, counts = np.unique(stream.keys, return_counts=True)
         eligible = set(keys[counts >= params.gate_threshold].tolist())
         evaluated = {k for k in sketch.tracked_keys() if k in eligible}
         unanswered = report.unanswered_keys
-        assert unanswered and unanswered == sorted(set(unanswered))
-        for key in unanswered:
-            with pytest.raises(ValueError, match="degenerate estimate"):
-                sketch.query(key)
+        assert unanswered == spoiled and len(unanswered) > 1
         assert not {row["key"] for row in report.per_key} & set(unanswered)
         assert report.eligible_keys == len(eligible)
         assert report.coverage == len(evaluated) / len(eligible)
@@ -145,8 +159,16 @@ class TestRunSingleKey:
         assert report.ae is None
         assert report.coverage == 1.0
 
-    def test_unanswered_key_is_listed_and_still_covered(self):
-        # At this seed the estimator ends holding only +inf sentinels.
+    def test_unanswered_key_is_listed_and_still_covered(self, monkeypatch):
+        # The estimator's buffers are set by hand to +inf sentinels only once
+        # the fill is done, a state that inserts never reach.
+        class SpoiledSink(bench._SingleKeySink):
+            def tracked_keys(self):
+                self.estimator.candidate[:] = []
+                self.estimator.representative[:] = [POS_INF, POS_INF]
+                return super().tracked_keys()
+
+        monkeypatch.setattr(bench, "_SingleKeySink", SpoiledSink)
         spec = StreamSpec(n_items=50, n_keys=5, seed=1)
         params = small_params(quantile=0.99, candidate_capacity=4, representative_capacity=2,
                               gate_threshold=0, seed=24)

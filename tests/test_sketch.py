@@ -206,13 +206,13 @@ class TestGate:
     def test_gate_only_opens_at_threshold(self):
         sk = PerKeyQuantileSketch(self.params())
         calls = []
-        original = sk.values.insert
+        original = sk.values._place
 
         def spy(key, value):
             calls.append((key, sk.tower.query(key)))
             return original(key, value)
 
-        sk.values.insert = spy
+        sk.values._place = spy
         rng = random.Random(1)
         for _ in range(3_000):
             sk.insert(rng.randrange(60), rng.random())

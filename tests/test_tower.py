@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqsketch import TowerFilter
+from pqsketch.hashing import hash_key
 
 
 class TestConstruction:
@@ -149,6 +150,17 @@ class TestAdmit:
                 slow.insert(k)
             assert fast.admit(k, threshold) == opened
         assert [layer[3] for layer in fast._layers] == [layer[3] for layer in slow._layers]
+
+    @settings(max_examples=200)
+    @given(key=st.integers(0, 2**64 - 1), seed=st.integers(0, 2**64 - 1))
+    def test_inline_mix_is_hash_key(self, key, seed):
+        # admit writes hash_key's mix out inline; over the whole key and seed
+        # range (key + seed wraps) each layer must bump hash_key's counter.
+        tower = TowerFilter(bytes_per_array=997, seed=seed)
+        assert not tower.admit(key, 1)
+        for layer_seed, counters, _, arr in tower._layers:
+            assert arr[hash_key(key, layer_seed) % counters] == 1
+            assert sum(arr) == 1
 
 
 class TestDeterminism:

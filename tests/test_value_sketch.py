@@ -313,6 +313,17 @@ class TestPlacement:
         b = cells[1].estimator.calibrator
         assert a._rng.getstate() != b._rng.getstate()
 
+    def test_median_cells_share_the_stateless_identity(self):
+        vs = ValueSketch(buckets=4, cells_per_bucket=2, eviction_ratio=1, seed=3)
+        for i in range(200):
+            vs.insert(i % 23, float(i))
+        # Eviction ratio 1 over 23 keys for 8 cells: cells are reclaimed too.
+        calibrators = {cell.estimator.calibrator for cell in vs._resident.values()}
+        assert vs.tracked_count() == 8 and vs._claims > 8
+        assert len(calibrators) == 1
+        (cal,) = calibrators
+        assert cal.is_identity and cal._rng is None
+
     def test_reclaimed_cell_gets_a_fresh_stream(self):
         vs = single_bucket(eviction_ratio=1, cells=1, quantile=0.9)
         vs.insert(1, 1.0)
