@@ -7,8 +7,9 @@ explicit inverse CDFs over one seeded uniform source, so a (spec, seed) pair
 pins the stream bit for bit.
 
 CSV format: one "key,value" pair per line, LF terminated; keys are unsigned
-decimal integers, values are decimal integers or finite reals (both parse to
-float64); blank lines and lines starting with "#" are ignored.
+decimal integers written as digits only, values are decimal integers or
+finite reals without "_" (both parse to float64); blank lines and lines
+starting with "#" are ignored.
 """
 from __future__ import annotations
 
@@ -119,6 +120,11 @@ class Stream:
     def __init__(self, keys: np.ndarray, values: np.ndarray) -> None:
         if keys.shape != values.shape or keys.ndim != 1:
             raise ValueError("keys and values must be 1-d arrays of equal length")
+        # Checked before the uint64 cast, which wraps -1 and truncates 1.7.
+        if not np.issubdtype(keys.dtype, np.integer):
+            raise TypeError(f"keys must be an integer array, got dtype {keys.dtype}")
+        if keys.size and keys.min() < 0:
+            raise ValueError(f"key {keys.min()} outside the unsigned 64-bit range")
         self.keys = np.ascontiguousarray(keys, dtype=np.uint64)
         self.values = np.ascontiguousarray(values, dtype=np.float64)
 
@@ -257,6 +263,9 @@ def write_csv(stream: Stream, path) -> None:
             fh.writelines(f"{k},{v!r}\n" for k, v in zip(keys, values))
 
 
+_KEY_RE = re.compile(r"-?[0-9]+")
+
+
 def read_csv(path) -> Stream:
     """Read a key,value CSV. Malformed input reports its 1-based line number."""
     keys: list[int] = []
@@ -269,15 +278,17 @@ def read_csv(path) -> Stream:
             left, sep, right = line.partition(",")
             if not sep or "," in right:
                 raise ValueError(f"line {lineno}: expected exactly one 'key,value' pair, got {line!r}")
+            # int() and float() also take "+" and "_", which the format lacks. A
+            # "-" passes, so that a negative key reports the range it is outside.
+            if _KEY_RE.fullmatch(left) is None:
+                raise ValueError(f"line {lineno}: key {left!r} is not a decimal integer")
             try:
-                key = int(left)
-            except ValueError:
-                raise ValueError(f"line {lineno}: key {left!r} is not a decimal integer") from None
-            try:
-                key = as_key(key)
+                key = as_key(int(left))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
             try:
+                if "_" in right:
+                    raise ValueError
                 value = float(right)
             except ValueError:
                 raise ValueError(f"line {lineno}: value {right!r} is not a decimal real") from None

@@ -1,7 +1,7 @@
 """Seeded 64-bit mixing used for bucket placement and seed derivation.
 
 Everything downstream of the one user-supplied seed (counter-array hashes,
-bucket placement, per-cell calibration streams, synthetic data) is derived
+bucket placement, the calibration streams, synthetic data) is derived
 through these functions, so two runs with the same seed replay bit for bit.
 """
 from __future__ import annotations
@@ -55,12 +55,3 @@ def child_seed(seed: int, index: int) -> int:
     """
     return mix64((seed + (index + 1) * _GOLDEN) & _MASK)
 
-
-def cell_seed(seed: int, bucket_index: int, generation: int) -> int:
-    """Seed for the estimator installed in a cell.
-
-    Folds the bucket index and the sketch-wide claim counter through the mixer
-    so no two cell claims ever share a calibration stream, while staying a pure
-    function of the run seed.
-    """
-    return mix64(mix64((seed ^ (bucket_index * _MIX2)) & _MASK) ^ ((generation * _MIX1) & _MASK))

@@ -16,10 +16,10 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .calibration import IDENTITY, Calibrator
+from .calibration import Calibrator
 from .estimator import PointEstimator
-from .hashing import as_key, cell_seed, hash_key
-from .quantiles import Value, check_count, check_weight
+from .hashing import as_key, hash_key
+from .quantiles import Value, check_count
 
 
 class InsertOutcome(Enum):
@@ -90,7 +90,7 @@ class ValueSketch:
     :param candidate_capacity: r for the per-cell estimators.
     :param representative_capacity: s for the per-cell estimators.
     :param quantile: w answered by every estimator.
-    :param seed: drives bucket placement and per-cell calibration streams.
+    :param seed: drives bucket placement and the calibration stream all cells share.
     :param hash_fn: testing seam; replaces the seeded bucket hash.
     """
 
@@ -109,7 +109,9 @@ class ValueSketch:
         check_count("cells per bucket", cells_per_bucket)
         check_count("candidate_capacity", candidate_capacity, even=True)
         check_count("representative_capacity", representative_capacity, even=True)
-        check_weight(quantile)
+        # Every cell draws from this one stream, so each still sees i.i.d. Z
+        # values. Building it checks the quantile weight.
+        self._calibrator = Calibrator(quantile, seed)
         ratio = as_ratio(eviction_ratio)
         self.eviction_ratio = ratio
         self._ratio_num = ratio.numerator
@@ -125,7 +127,6 @@ class ValueSketch:
         # cell, so one exact lookup says whether it is resident, with no hash
         # and no bucket scan; only a key without a cell needs its bucket.
         self._resident: dict[int, Cell] = {}
-        self._claims = 0
         self.buckets: list[Bucket] = [Bucket(cells_per_bucket) for _ in range(buckets)]
 
     def bucket_of(self, key: int) -> int:
@@ -135,15 +136,8 @@ class ValueSketch:
         return hash_key(key, self.seed) % self._u
 
     def _new_cell(self, key: int, bucket_index: int) -> Cell:
-        # At w = 0.5 every cell shares the stateless identity calibrator; any
-        # other w gives each claim its own seeded stream.
-        if self.quantile == 0.5:
-            cal = IDENTITY
-        else:
-            cal = Calibrator(self.quantile, cell_seed(self.seed, bucket_index, self._claims))
-        self._claims += 1
-        est = PointEstimator(self._r, self._s, cal)
-        cell = Cell(key, 1, est)
+        # A cell does not depend on its bucket; the caller puts it at bucket_index.
+        cell = Cell(key, 1, PointEstimator(self._r, self._s, self._calibrator))
         self._resident[key] = cell
         return cell
 

@@ -151,6 +151,16 @@ class TestStream:
         with pytest.raises(ValueError, match="equal length"):
             Stream(np.array([1, 2], dtype=np.uint64), np.array([1.0]))
 
+    def test_keys_must_be_nonnegative_integers(self):
+        values = np.array([1.0, 2.0])
+        with pytest.raises(ValueError, match="key -1 outside the unsigned 64-bit range"):
+            Stream(np.array([-1, 2]), values)
+        for keys in (np.array([1.7, 2.0]), np.array([True, False])):
+            with pytest.raises(TypeError, match="integer array"):
+                Stream(keys, values)
+        stream = Stream(np.array([0, 2], dtype=np.int64), values)
+        assert stream.keys.dtype == np.uint64 and stream.keys.tolist() == [0, 2]
+
 
 class TestSpecGrammar:
     def test_full_spec(self):
@@ -227,6 +237,18 @@ class TestCsv:
             ("1,abc\n", "line 1.*not a decimal real"),
             ("1,inf\n", "line 1.*not finite"),
             ("5,nan\n", "line 1.*not finite"),
+        ]
+        for body, pattern in cases:
+            path = tmp_path / "bad.csv"
+            path.write_text(body)
+            with pytest.raises(ValueError, match=pattern):
+                read_csv(path)
+
+    def test_reader_refuses_signs_and_underscores(self, tmp_path):
+        cases = [
+            ("1,2.0\n+7,2.0\n", "line 2: key '\\+7' is not a decimal integer"),
+            ("1_000,2.0\n", "line 1: key '1_000' is not a decimal integer"),
+            ("1,2.0\n\n3,1_0.5\n", "line 3: value '1_0.5' is not a decimal real"),
         ]
         for body, pattern in cases:
             path = tmp_path / "bad.csv"

@@ -6,7 +6,7 @@ import random
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pqsketch.hashing import cell_seed, child_seed, hash_key, mix64
+from pqsketch.hashing import child_seed, hash_key, mix64
 
 U64 = st.integers(0, (1 << 64) - 1)
 
@@ -48,7 +48,6 @@ class TestSeedDerivation:
         assert hash_key(42, 7) == 14956449454263868849
         assert child_seed(1, 0) == 16572613472718614229
         assert child_seed(1, 1) == 16739924786248912506
-        assert cell_seed(1, 2, 3) == 5505953696497469988
 
     @given(U64, st.integers(0, 100), st.integers(0, 100))
     def test_siblings_differ(self, seed, i, j):
@@ -56,14 +55,6 @@ class TestSeedDerivation:
         # distinct child indices can never collide under one parent.
         if i != j:
             assert child_seed(seed, i) != child_seed(seed, j)
-
-    def test_cell_seeds_unique_over_grid(self):
-        seeds = {
-            cell_seed(9, bucket, generation)
-            for bucket in range(50)
-            for generation in range(50)
-        }
-        assert len(seeds) == 2_500
 
     @given(U64, U64)
     def test_hash_key_depends_on_seed(self, key, seed):

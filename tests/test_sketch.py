@@ -1,8 +1,10 @@
 """Tests for capacity planning, the collision model, and the composed sketch."""
 from __future__ import annotations
 
+import gc
 import math
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -322,7 +324,7 @@ def sketch_state(sketch):
         for bucket in sketch.values.buckets
     ]
     counters = [arr for _, _, _, arr in sketch.tower._layers]
-    return buckets, counters, sketch.values._claims
+    return buckets, counters
 
 
 class TestResidentFirst:
@@ -409,3 +411,38 @@ class TestComposedSketch:
         key_frac = len(passed_keys) / len(seen_keys)
         assert key_frac < 0.6 * item_frac
         assert set(sk.tracked_keys()) <= passed_keys
+
+
+@pytest.fixture(scope="module")
+def default_stream_lists():
+    """The default 1M-item synthetic stream as plain lists, built before any tracing."""
+    from pqsketch.datagen import StreamSpec, generate
+
+    stream = generate(StreamSpec())
+    return stream.keys.tolist(), stream.values.tolist()
+
+
+class TestRealMemory:
+    """The byte budget holds in the interpreter's memory, not only in the formula."""
+
+    FACTOR = 4
+
+    @pytest.mark.parametrize("w", [0.5, 0.9])
+    def test_filled_default_sketch_stays_near_its_budget(self, default_stream_lists, w):
+        keys, values = default_stream_lists
+        gc.collect()
+        tracemalloc.start()
+        try:
+            sk = PerKeyQuantileSketch(SketchParams(quantile=w))
+            insert = sk.insert
+            for key, value in zip(keys, values):
+                insert(key, value)
+            gc.collect()
+            traced, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The key and value objects that cells keep came from the lists, so
+        # they were allocated before tracing and are not counted.
+        assert traced <= self.FACTOR * sk.plan.total_bytes, (
+            f"{traced} traced bytes against {sk.plan.total_bytes} accounted"
+        )

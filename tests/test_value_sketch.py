@@ -305,33 +305,39 @@ class TestPlacement:
             ValueSketch(buckets=2, cells_per_bucket=2).insert(1, float("nan"))
 
     def test_cell_estimators_use_distinct_streams(self):
+        # Cells take disjoint slices of the sketch's one stream: the second
+        # cell's calibration draws start where the first cell's stopped.
         vs = single_bucket(cells=2, quantile=0.9, seed=0)
+        rng = vs._calibrator._rng
+        before = rng.getstate()
         vs.insert(1, 1.0)
+        after_first = rng.getstate()
         vs.insert(2, 1.0)
         cells = vs.buckets[0].cells
-        a = cells[0].estimator.calibrator
-        b = cells[1].estimator.calibrator
-        assert a._rng.getstate() != b._rng.getstate()
-
-    def test_median_cells_share_the_stateless_identity(self):
-        vs = ValueSketch(buckets=4, cells_per_bucket=2, eviction_ratio=1, seed=3)
-        for i in range(200):
-            vs.insert(i % 23, float(i))
-        # Eviction ratio 1 over 23 keys for 8 cells: cells are reclaimed too.
-        calibrators = {cell.estimator.calibrator for cell in vs._resident.values()}
-        assert vs.tracked_count() == 8 and vs._claims > 8
-        assert len(calibrators) == 1
-        (cal,) = calibrators
-        assert cal.is_identity and cal._rng is None
+        assert cells[0].estimator.calibrator is cells[1].estimator.calibrator is vs._calibrator
+        assert before != after_first != rng.getstate()
 
     def test_reclaimed_cell_gets_a_fresh_stream(self):
         vs = single_bucket(eviction_ratio=1, cells=1, quantile=0.9)
         vs.insert(1, 1.0)
-        first = vs.buckets[0].cells[0].estimator.calibrator
-        vs.insert(2, 1.0)
-        second = vs.buckets[0].cells[0].estimator.calibrator
+        first = vs.buckets[0].cells[0].estimator
+        state = vs._calibrator._rng.getstate()
+        assert vs.insert(2, 1.0).outcome is InsertOutcome.EVICTED
+        second = vs.buckets[0].cells[0].estimator
         assert vs.buckets[0].cells[0].key == 2
-        assert first._rng.getstate() != second._rng.getstate()
+        # A fresh estimator whose draws continue the stream, not replay the victim's.
+        assert second is not first and second.calibrator is vs._calibrator
+        assert vs._calibrator._rng.getstate() != state
+
+    @pytest.mark.parametrize("w", [0.5, 0.9])
+    def test_every_cell_draws_from_the_sketch_calibrator(self, w):
+        vs = ValueSketch(buckets=4, cells_per_bucket=2, eviction_ratio=1, quantile=w, seed=3)
+        results = [vs.insert(i % 23, float(i)) for i in range(200)]
+        # Eviction ratio 1 over 23 keys for 8 cells: cells are reclaimed too.
+        assert vs.tracked_count() == 8
+        assert sum(r.outcome is InsertOutcome.EVICTED for r in results) > 0
+        assert all(cell.estimator.calibrator is vs._calibrator for cell in vs._resident.values())
+        assert vs._calibrator.w == w
 
 
 class TestEndToEnd:
