@@ -19,11 +19,8 @@ from .estimator import PointEstimator
 from .quantiles import (
     NEG_INF,
     POS_INF,
-    ExactOracle,
-    average_error,
-    exact_quantile,
     nearest_value,
-    rank_of,
+    rank_error,
     rank_toward,
 )
 from .sketch import (
@@ -42,7 +39,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Calibrator",
     "CapacityPlan",
-    "ExactOracle",
     "ExponentialValues",
     "InsertOutcome",
     "InsertResult",
@@ -61,15 +57,13 @@ __all__ = [
     "UniformValues",
     "ValueSketch",
     "ZipfKeys",
-    "average_error",
     "bucket_bytes",
     "collision_probability",
-    "exact_quantile",
     "generate",
     "nearest_value",
     "parse_stream_spec",
     "plan_capacity",
-    "rank_of",
+    "rank_error",
     "rank_toward",
     "read_csv",
     "run_benchmark",

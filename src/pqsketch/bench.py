@@ -1,13 +1,15 @@
 """Benchmark loops and the JSON stream report.
 
 The report separates three concerns: configuration echo (everything needed to
-reproduce the run), accuracy against an exact oracle (rank-space errors over
-the evaluated keys), and timing (throughput means over repeated phases).
-Timing fields are the only nondeterministic ones; two runs with identical
-flags and seed agree byte for byte everywhere else.
+reproduce the run), accuracy (rank-space errors over the evaluated keys), and
+timing (throughput means over repeated phases). Timing fields are the only
+nondeterministic ones; two runs with identical flags and seed agree byte for
+byte everywhere else.
 
-The oracle is maintained in its own untimed pass, so throughput numbers
-reflect the sketch alone, not the bookkeeping used to judge it.
+Accuracy is judged against the stream itself: its values sorted per key,
+built once from the stream's arrays after the timed phases, so throughput
+numbers reflect the sketch alone. Each estimate is scored by
+``quantiles.rank_error``.
 """
 from __future__ import annotations
 
@@ -15,11 +17,13 @@ import json
 from dataclasses import asdict, dataclass, field
 from time import perf_counter
 
+import numpy as np
+
 from .calibration import Calibrator
 from .datagen import Stream
 from .estimator import PointEstimator
 from .hashing import child_seed
-from .quantiles import ExactOracle, rank_error
+from .quantiles import rank_error
 from .sketch import SEED_SINGLE, PerKeyQuantileSketch, SketchParams
 
 #: Report fields that vary run to run; strip these before comparing reports.
@@ -112,6 +116,18 @@ def _mops(items: int, seconds_per_rep: list[float]) -> float:
     return sum(rates) / len(rates) if rates else 0.0
 
 
+def _reference(stream: Stream, f_eval: int, single_key: bool) -> tuple[np.ndarray, dict[int, tuple[int, int]]]:
+    """The stream's values sorted by key, then by value, and the (start, stop)
+    span of every key with at least f_eval values: the exact per-key multisets,
+    built once. Single-key mode files every value under key 0.
+    """
+    keys = np.zeros_like(stream.keys) if single_key else stream.keys
+    order = np.lexsort((stream.values, keys))
+    uniq, start, count = np.unique(keys[order], return_index=True, return_counts=True)
+    spans = {k: (s, s + c) for k, s, c in zip(uniq.tolist(), start.tolist(), count.tolist()) if c >= f_eval}
+    return stream.values[order], spans
+
+
 def run_benchmark(
     stream: Stream,
     params: SketchParams,
@@ -127,10 +143,9 @@ def run_benchmark(
     final repetition's state feeds the accuracy section. Evaluated keys are
     the tracked keys whose true frequency is at least f_eval (defaulting to
     the gate threshold, below which a key cannot finish paying admission).
-    A tracked key whose query raises (a cell can in principle retain only
-    sentinels) is listed in unanswered_keys: it counts as covered but adds
-    no row and no error. With single_key, one bare estimator takes every
-    value as key 0.
+    A tracked key whose query raises is listed in unanswered_keys: it counts
+    as covered but adds no row and no error. With single_key, one bare
+    estimator takes every value as key 0.
     """
     t_start = perf_counter()
     if repeat < 1:
@@ -145,12 +160,6 @@ def run_benchmark(
         sink = make_sink(params)
         insert_seconds.append(_timed_inserts(stream, sink.insert))
 
-    oracle = ExactOracle()
-    oracle_insert = oracle.insert
-    for keys, values in stream.chunks():
-        for k, v in zip(keys, values):
-            oracle_insert(0 if single_key else k, v)
-
     tracked = sorted(set(sink.tracked_keys()))
     query = sink.query
     query_seconds: list[float] = []
@@ -163,7 +172,7 @@ def run_benchmark(
                 pass
         query_seconds.append(perf_counter() - t0)
 
-    eligible = {k for k in oracle.keys() if oracle.count(k) >= f_eval}
+    ordered_values, eligible = _reference(stream, f_eval, single_key)
     evaluated = [k for k in tracked if k in eligible]
     rows: list[dict] = []
     unanswered: list[int] = []
@@ -176,7 +185,8 @@ def run_benchmark(
             continue
         if k not in eligible:
             continue
-        ordered = oracle.sorted_values(k)
+        start, stop = eligible[k]
+        ordered = ordered_values[start:stop].tolist()
         rank, err = rank_error(ordered, estimate, w)
         total_error += err
         rows.append(

@@ -97,7 +97,7 @@ class StreamSpec:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_items, int) or self.n_items < 0:
+        if isinstance(self.n_items, bool) or not isinstance(self.n_items, int) or self.n_items < 0:
             raise ValueError(f"n_items must be a nonnegative integer, got {self.n_items!r}")
         check_count("n_keys", self.n_keys)
 
@@ -113,7 +113,7 @@ class StreamSpec:
 
 
 class Stream:
-    """Columnar (key, value) sequence."""
+    """Columnar (key, value) sequence: keys in [0, 2^64), finite float64 values."""
 
     __slots__ = ("keys", "values")
 
@@ -125,8 +125,15 @@ class Stream:
             raise TypeError(f"keys must be an integer array, got dtype {keys.dtype}")
         if keys.size and keys.min() < 0:
             raise ValueError(f"key {keys.min()} outside the unsigned 64-bit range")
+        # Checked before the float64 cast, which drops an imaginary part and
+        # parses strings; bools are neither integer nor floating here.
+        if not (np.issubdtype(values.dtype, np.integer) or np.issubdtype(values.dtype, np.floating)):
+            raise TypeError(f"values must be an integer or floating array, got dtype {values.dtype}")
         self.keys = np.ascontiguousarray(keys, dtype=np.uint64)
         self.values = np.ascontiguousarray(values, dtype=np.float64)
+        finite = np.isfinite(self.values)
+        if not finite.all():
+            raise ValueError(f"value {float(self.values[~finite][0])!r} is not finite")
 
     def __len__(self) -> int:
         return int(self.keys.shape[0])

@@ -39,8 +39,11 @@ def hash_key(key: int, seed: int) -> int:
 def as_key(key) -> int:
     """The key as an int in [0, 2^64), the range every hash assumes.
 
-    Raises TypeError for a non-integer key, ValueError outside the range.
+    Raises TypeError for a non-integer key (a bool included), ValueError
+    outside the range.
     """
+    if isinstance(key, bool):
+        raise TypeError(f"a bool is not a key, got {key!r}")
     key = operator.index(key)
     if not 0 <= key <= _MASK:
         raise ValueError(f"key {key} outside the unsigned 64-bit range")

@@ -1,23 +1,20 @@
-"""Exact multiset quantiles and the rank-space error metric.
+"""The rank convention and the one scoring rule every sketch answer is judged by.
 
-Quantile convention used throughout the package: for a multiset of n values
-sorted ascending as a_1 <= ... <= a_n, the w-quantile (0 <= w <= 1) is the
-element of 1-indexed rank floor(w * (n - 1)) + 1, and the rank of a_k is
-(k - 1) / (n - 1). Estimation error is always measured in rank space: an
-estimate x against a reference multiset scores |rank(x) - w|, which is scale
-free and invariant under strictly increasing transforms of the values.
+For a multiset of n values sorted ascending as a_1 <= ... <= a_n, the rank of
+a_k is (k - 1) / (n - 1), and a singleton ranks its only value 0.5. Equal
+values span a closed interval of ranks; a value is ranked at the point of its
+interval nearest the target w. An estimate x scores |rank(x) - w| after it is
+snapped to the nearest present value, which is scale free and invariant under
+strictly increasing transforms of the values.
 
-These functions are the ground truth the sketches are judged against, so they
-favor exactness over speed: the quantile index is computed in rational
-arithmetic (floor(w * (n - 1)) in binary floating point can land on the wrong
-side of an integer boundary), and everything is brute force over sorted lists.
+The reference multisets themselves are built once from the stream's arrays
+(see ``bench``); these functions only rank within one sorted list.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -35,55 +32,9 @@ def check_weight(w: float) -> None:
 
 def check_count(name: str, value: int, even: bool = False) -> None:
     """The one check of a size parameter: a positive (and, if asked, even) int."""
-    if not isinstance(value, int) or value < 1 or (even and value % 2):
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1 or (even and value % 2):
         kind = "positive even integer" if even else "positive integer"
         raise ValueError(f"{name} must be a {kind}, got {value!r}")
-
-
-def quantile_index(n: int, w: float) -> int:
-    """0-based index of the w-quantile in a sorted multiset of size n.
-
-    Exact: the product w * (n - 1) is floored in rational arithmetic for the
-    float w the caller actually passed, never in binary floating point.
-    """
-    check_weight(w)
-    if n < 1:
-        raise ValueError("empty multiset has no quantile")
-    frac = Fraction(w)
-    return int((frac.numerator * (n - 1)) // frac.denominator)
-
-
-def exact_quantile(values: Sequence[Value], w: float) -> Value:
-    """The w-quantile of a multiset, by full sort.
-
-    :param values: non-empty sequence of finite values.
-    :param w: quantile weight in [0, 1].
-    :raises ValueError: on an empty multiset or out-of-range w.
-    """
-    n = len(values)
-    if n == 0:
-        raise ValueError("empty multiset has no quantile")
-    return sorted(values)[quantile_index(n, w)]
-
-
-def rank_of(values: Sequence[Value], x: Value) -> float:
-    """Rank (k - 1) / (n - 1) of x in the multiset, lowest index on ties.
-
-    A singleton multiset ranks its only element 0.5 (the rank grid degenerates
-    and the midpoint is the only unbiased choice).
-
-    :raises ValueError: if x is not an element of the multiset.
-    """
-    n = len(values)
-    if n == 0:
-        raise ValueError("empty multiset has no ranks")
-    ordered = sorted(values)
-    i = bisect_left(ordered, x)
-    if i == n or ordered[i] != x:
-        raise ValueError(f"value {x!r} absent from multiset")
-    if n == 1:
-        return 0.5
-    return i / (n - 1)
 
 
 def rank_toward(ordered: Sequence[Value], x: Value, w: float) -> float:
@@ -91,8 +42,8 @@ def rank_toward(ordered: Sequence[Value], x: Value, w: float) -> float:
 
     Equal values span a closed interval of ranks; this returns the point of
     that interval nearest w, so an estimate equal to the true w-quantile value
-    scores zero error even when the value repeats. For a unique x it equals
-    ``rank_of``. ``ordered`` must already be sorted ascending.
+    scores zero error even when the value repeats. For a unique x it is the
+    plain rank. ``ordered`` must already be sorted ascending.
     """
     check_weight(w)
     n = len(ordered)
@@ -139,70 +90,3 @@ def rank_error(ordered: Sequence[Value], estimate: Value, w: float) -> tuple[flo
     """
     rank = rank_toward(ordered, nearest_value(ordered, estimate), w)
     return rank, abs(rank - w)
-
-
-class ExactOracle:
-    """Exact per-key multisets, kept for judging sketch output.
-
-    Stores every inserted value, so this is strictly a test/benchmark aid;
-    sorted views are cached per key and invalidated on insert.
-    """
-
-    def __init__(self) -> None:
-        self._values: dict[int, list[Value]] = {}
-        self._sorted: dict[int, list[Value]] = {}
-
-    def insert(self, key: int, value: Value) -> None:
-        if not math.isfinite(value):
-            raise ValueError(f"oracle values must be finite, got {value!r}")
-        self._values.setdefault(key, []).append(value)
-        self._sorted.pop(key, None)
-
-    def keys(self) -> Iterable[int]:
-        return self._values.keys()
-
-    def count(self, key: int) -> int:
-        vals = self._values.get(key)
-        return 0 if vals is None else len(vals)
-
-    def sorted_values(self, key: int) -> list[Value]:
-        try:
-            return self._sorted[key]
-        except KeyError:
-            pass
-        try:
-            ordered = sorted(self._values[key])
-        except KeyError:
-            raise KeyError(f"key {key!r} absent from oracle") from None
-        self._sorted[key] = ordered
-        return ordered
-
-    def query(self, key: int, w: float) -> Value:
-        ordered = self.sorted_values(key)
-        return ordered[quantile_index(len(ordered), w)]
-
-
-def average_error(
-    estimates: Iterable[tuple[int, Value]],
-    oracle: ExactOracle,
-    w: float,
-) -> float:
-    """Mean rank-space error of per-key estimates against exact multisets.
-
-    Each (key, estimate) pair is scored by ``rank_error`` against the key's
-    multiset.
-
-    :raises ValueError: if the estimate sequence is empty ("no queries") or a
-        key is absent from the oracle.
-    """
-    check_weight(w)
-    total = 0.0
-    count = 0
-    for key, estimate in estimates:
-        if not math.isfinite(estimate):
-            raise ValueError(f"estimate for key {key!r} must be finite, got {estimate!r}")
-        total += rank_error(oracle.sorted_values(key), estimate, w)[1]
-        count += 1
-    if count == 0:
-        raise ValueError("no queries to average")
-    return total / count

@@ -88,7 +88,7 @@ class SketchParams:
         check_count("total_memory_bytes", self.total_memory_bytes)
         if not 0.0 < self.tower_fraction < 1.0:
             raise ValueError(f"tower fraction must lie strictly inside (0, 1), got {self.tower_fraction!r}")
-        if not isinstance(self.gate_threshold, int) or self.gate_threshold < 0:
+        if isinstance(self.gate_threshold, bool) or not isinstance(self.gate_threshold, int) or self.gate_threshold < 0:
             raise ValueError(f"gate threshold must be a nonnegative integer, got {self.gate_threshold!r}")
         # The tower's estimate never exceeds its widest counter's limit, so a
         # higher gate would never open; resident-first routing needs it to.

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from pqsketch import POS_INF, PerKeyQuantileSketch, SketchParams, bench
+from pqsketch import POS_INF, PerKeyQuantileSketch, SketchParams, bench, rank_error
 from pqsketch.bench import TIMING_FIELDS, run_benchmark
 from pqsketch.cli import main
 from pqsketch.datagen import StreamSpec, UniformValues, ZipfKeys, generate
@@ -60,6 +60,19 @@ class TestRunBenchmark:
             assert set(row) == {"key", "true_freq", "estimated_value", "true_rank", "abs_error"}
             assert row["true_freq"] >= 10
             assert row["abs_error"] == pytest.approx(abs(row["true_rank"] - 0.5))
+
+    def test_rows_score_against_each_keys_sorted_values(self):
+        stream = generate(SMALL)
+        per_key: dict[int, list[float]] = {}
+        for key, value in stream:
+            per_key.setdefault(key, []).append(value)
+        report = run_benchmark(stream, small_params(quantile=0.9), repeat=1)
+        assert report.eligible_keys == sum(len(v) >= 10 for v in per_key.values())
+        assert report.per_key
+        for row in report.per_key:
+            ordered = sorted(per_key[row["key"]])
+            assert row["true_freq"] == len(ordered)
+            assert (row["true_rank"], row["abs_error"]) == rank_error(ordered, row["estimated_value"], 0.9)
 
     def test_rows_sorted_by_key(self):
         report = run_benchmark(generate(SMALL), small_params(), repeat=1)

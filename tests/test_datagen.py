@@ -51,6 +51,10 @@ class TestDistributionSpecs:
         with pytest.raises(ValueError, match="n_keys"):
             StreamSpec(n_keys=0)
 
+    def test_bool_is_not_an_item_count(self):
+        with pytest.raises(ValueError, match="n_items"):
+            StreamSpec(n_items=True)
+
     def test_describe_shape(self):
         d = StreamSpec(seed=9).describe()
         assert d == {
@@ -160,6 +164,20 @@ class TestStream:
                 Stream(keys, values)
         stream = Stream(np.array([0, 2], dtype=np.int64), values)
         assert stream.keys.dtype == np.uint64 and stream.keys.tolist() == [0, 2]
+
+    def test_values_must_be_integer_or_floating(self):
+        keys = np.array([1, 2])
+        for values in (np.array([1 + 2j, 3]), np.array([True, False]), np.array(["1.5", "2"])):
+            with pytest.raises(TypeError, match="integer or floating array"):
+                Stream(keys, values)
+        for values in (np.array([1, 3]), np.array([1.5, 3.0], dtype=np.float32)):
+            stream = Stream(keys, values)
+            assert stream.values.dtype == np.float64 and stream.values.tolist() == values.tolist()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_values_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match=f"value {bad!r} is not finite"):
+            Stream(np.array([1, 2, 3]), np.array([1.0, bad, 2.0]))
 
 
 class TestSpecGrammar:

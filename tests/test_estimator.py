@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqsketch import NEG_INF, POS_INF, Calibrator, PointEstimator
-from pqsketch.quantiles import rank_of
+from pqsketch import NEG_INF, POS_INF, Calibrator, PointEstimator, rank_toward
 
 
 class CountingValue:
@@ -175,7 +174,7 @@ class TestQuery:
         random.Random(77).shuffle(values)
         e = PointEstimator(candidate_capacity=4, representative_capacity=4)
         e.extend(values)
-        rank = rank_of(values, e.query())
+        rank = rank_toward(sorted(values), e.query(), 0.5)
         assert 0.3 <= rank <= 0.7
 
 
@@ -185,14 +184,14 @@ class TestCalibratedQueries:
         rng = random.Random(13)
         values = [rng.random() for _ in range(20_000)]
         e.extend(values)
-        assert abs(rank_of(values, e.query()) - 0.9) <= 0.1
+        assert abs(rank_toward(sorted(values), e.query(), 0.9) - 0.9) <= 0.1
 
     def test_low_quantile_estimate(self):
         e = PointEstimator(16, 10, Calibrator(0.1, seed=4))
         rng = random.Random(29)
         values = [rng.random() for _ in range(20_000)]
         e.extend(values)
-        assert abs(rank_of(values, e.query()) - 0.1) <= 0.1
+        assert abs(rank_toward(sorted(values), e.query(), 0.1) - 0.1) <= 0.1
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -3,10 +3,12 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pqsketch.hashing import child_seed, hash_key, mix64
+from pqsketch.hashing import as_key, child_seed, hash_key, mix64
 
 U64 = st.integers(0, (1 << 64) - 1)
 
@@ -60,3 +62,10 @@ class TestSeedDerivation:
     def test_hash_key_depends_on_seed(self, key, seed):
         assert hash_key(key, seed) == hash_key(key, seed)
         assert 0 <= hash_key(key, seed) < (1 << 64)
+
+
+class TestAsKey:
+    def test_bool_is_not_a_key(self):
+        for bad in (True, False, np.True_):
+            with pytest.raises(TypeError):
+                as_key(bad)

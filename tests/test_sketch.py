@@ -108,6 +108,14 @@ class TestSketchParams:
         with pytest.raises(ValueError, match="eviction ratio"):
             SketchParams(eviction_ratio=0)
 
+    def test_bool_is_not_a_count(self):
+        with pytest.raises(ValueError, match="cells per bucket"):
+            SketchParams(cells_per_bucket=True)
+
+    def test_bool_is_not_a_gate_threshold(self):
+        with pytest.raises(ValueError, match="gate threshold"):
+            SketchParams(gate_threshold=False)
+
 
 class TestPlanCapacity:
     def test_default_plan_hand_checked(self):
@@ -272,6 +280,16 @@ class TestKeys:
         with pytest.raises(ValueError, match="unsigned 64-bit"):
             sk.insert(-1, 1.0)
         assert sk.tower.query((1 << 64) - 1) == 0
+
+    def test_bool_key_raises_even_when_its_int_holds_a_cell(self):
+        sk = PerKeyQuantileSketch(SketchParams(gate_threshold=0))
+        sk.insert(1, 1.0)
+        before = cell_state(sk.values, 1)
+        for bad in (True, False):
+            with pytest.raises(TypeError, match="bool"):
+                sk.insert(bad, 2.0)
+        assert cell_state(sk.values, 1) == before
+        assert sk.tracked_keys() == [1]
 
     def test_float_key_raises_even_when_its_int_holds_a_cell(self):
         sk = PerKeyQuantileSketch(SketchParams(gate_threshold=0))
