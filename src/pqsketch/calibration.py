@@ -61,11 +61,6 @@ class Calibrator:
             return 1.0 / (2.0 - 2.0 * w)
         return 1.0
 
-    @property
-    def is_identity(self) -> bool:
-        """True when values pass through without sentinels (w = 0.5)."""
-        return self.sentinel is None
-
     def sample_geometric(self) -> int:
         """One draw Z >= 1 with P(Z = z) = (1 - p)^(z-1) * p.
 

@@ -28,15 +28,22 @@ def _add_bench_parser(sub: argparse._SubParsersAction) -> None:
         "'n_items=1000000,n_keys=10000,key_dist=zipf(1.0),value_dist=pareto(1.0,1.0)' "
         "(or 'default')",
     )
-    p.add_argument("--memory-kb", type=int, default=500, help="total sketch budget in KB (default 500)")
-    p.add_argument("--w", type=float, default=0.5, help="quantile weight in [0,1] (default 0.5)")
-    p.add_argument("--d", type=int, default=7, help="cells per bucket (default 7)")
-    p.add_argument("--q", type=float, default=0.1, help="memory fraction for the counter tower (default 0.1)")
-    p.add_argument("--T", type=int, default=40, help="admission gate threshold (default 40)")
-    p.add_argument("--lambda", dest="eviction_ratio", default="4", help="eviction vote ratio (default 4)")
-    p.add_argument("--r", type=int, default=16, help="candidate buffer capacity (default 16)")
-    p.add_argument("--s", type=int, default=10, help="representative buffer capacity (default 10)")
-    p.add_argument("--seed", type=int, default=1, help="seed for all randomness (default 1)")
+    defaults = SketchParams()
+    p.add_argument("--memory-kb", type=int, default=defaults.total_memory_bytes // 1024,
+                   help="total sketch budget in KB (default %(default)s)")
+    p.add_argument("--w", type=float, default=defaults.quantile, help="quantile weight in [0,1] (default %(default)s)")
+    p.add_argument("--d", type=int, default=defaults.cells_per_bucket, help="cells per bucket (default %(default)s)")
+    p.add_argument("--q", type=float, default=defaults.tower_fraction,
+                   help="memory fraction for the counter tower (default %(default)s)")
+    p.add_argument("--T", type=int, default=defaults.gate_threshold,
+                   help="admission gate threshold (default %(default)s)")
+    p.add_argument("--lambda", dest="eviction_ratio", default=defaults.eviction_ratio,
+                   help="eviction vote ratio (default %(default)s)")
+    p.add_argument("--r", type=int, default=defaults.candidate_capacity,
+                   help="candidate buffer capacity (default %(default)s)")
+    p.add_argument("--s", type=int, default=defaults.representative_capacity,
+                   help="representative buffer capacity (default %(default)s)")
+    p.add_argument("--seed", type=int, default=defaults.seed, help="seed for all randomness (default %(default)s)")
     p.add_argument("--f-eval", type=int, default=None,
                    help="minimum true frequency for a key to be evaluated (default: T)")
     p.add_argument("--repeat", type=int, default=3, help="timing repetitions (default 3)")

@@ -222,24 +222,11 @@ def parse_stream_spec(text: str, seed: int = 1) -> StreamSpec:
     fields: dict[str, str] = {}
     text = text.strip()
     if text and text != "default":
-        # Split on commas not inside parentheses.
-        parts: list[str] = []
-        depth = 0
-        start = 0
-        for i, ch in enumerate(text):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth < 0:
-                    raise ValueError(f"unbalanced parentheses in stream spec {text!r}")
-            elif ch == "," and depth == 0:
-                parts.append(text[start:i])
-                start = i + 1
-        if depth != 0:
+        if text.count("(") != text.count(")"):
             raise ValueError(f"unbalanced parentheses in stream spec {text!r}")
-        parts.append(text[start:])
-        for part in parts:
+        # Split on commas not inside parentheses: a comma that a ")" follows
+        # before any "(" is inside a distribution's argument list.
+        for part in re.split(r",(?![^()]*\))", text):
             if "=" not in part:
                 raise ValueError(f"stream spec field {part!r} is not name=value")
             name, _, value = part.partition("=")

@@ -46,18 +46,6 @@ class PointEstimator:
         self.candidate: list[Value] = []
         self.representative: list[Value] = []
 
-    @property
-    def calibrator(self) -> Calibrator:
-        return self._calibrator
-
-    @property
-    def candidate_capacity(self) -> int:
-        return self._r
-
-    @property
-    def representative_capacity(self) -> int:
-        return self._s
-
     def insert(self, value: Value) -> None:
         """Insert one finite value, expanding it through the calibrator."""
         if not math.isfinite(value):

@@ -14,13 +14,8 @@ _MIX1 = 0xFF51AFD7ED558CCD
 _MIX2 = 0xC4CEB9FE1A85EC53
 
 
-def mix64(x: int) -> int:
-    """Finalizing 64-bit avalanche mix. Every input bit affects every output bit."""
-    return hash_key(x, 0)
-
-
 def hash_key(key: int, seed: int) -> int:
-    """Seeded hash of an integer key onto 64 bits: mix64 of key + seed.
+    """Seeded 64-bit hash of an integer key: every bit of key + seed affects every output bit.
 
     The mix is written out here rather than called, because this is the
     per-item hash and a call costs as much as a few of its steps. This is the
@@ -56,5 +51,5 @@ def child_seed(seed: int, index: int) -> int:
     Splitmix-style: advance by a multiple of the golden-ratio increment, then
     mix. Children of one parent are pairwise uncorrelated for practical use.
     """
-    return mix64((seed + (index + 1) * _GOLDEN) & _MASK)
+    return hash_key(seed + (index + 1) * _GOLDEN, 0)
 

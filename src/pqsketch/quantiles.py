@@ -23,7 +23,9 @@ Value = int | float
 
 
 def check_weight(w: float) -> None:
-    """The one check of a quantile weight: a number in [0, 1], not NaN."""
+    """The one check of a quantile weight: a number in [0, 1], not NaN or a bool."""
+    if isinstance(w, bool):
+        raise ValueError(f"quantile weight must be a number, not a bool, got {w!r}")
     if isinstance(w, float) and math.isnan(w):
         raise ValueError("quantile weight must not be NaN")
     if not 0.0 <= w <= 1.0:

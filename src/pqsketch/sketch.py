@@ -6,7 +6,8 @@ sketch's cells are never wasted on one-off keys: only a key seen at least T
 times starts feeding an estimator (its first T values are the admission fee
 and are not recoverable). Capacity planning splits one byte budget between
 the two stages and predicts how likely a bucket is to see more keys than it
-has cells.
+has cells. The tower's layout (widths, counters per array, top count) lives in
+tower.py; the plan only decides the bytes per array.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 from .hashing import _MASK, as_key, child_seed
 from .quantiles import Value, check_count, check_weight
-from .tower import DEFAULT_WIDTHS, TowerFilter
+from .tower import TOP_LIMIT, WIDTHS, TowerFilter, layer_counters
 from .value_sketch import InsertResult, ValueSketch, as_ratio
 
 # Accounted bytes per tracked cell: an 8-byte key, a 4-byte positive vote, and
@@ -90,17 +91,18 @@ class SketchParams:
             raise ValueError(f"tower fraction must lie strictly inside (0, 1), got {self.tower_fraction!r}")
         if isinstance(self.gate_threshold, bool) or not isinstance(self.gate_threshold, int) or self.gate_threshold < 0:
             raise ValueError(f"gate threshold must be a nonnegative integer, got {self.gate_threshold!r}")
-        # The tower's estimate never exceeds its widest counter's limit, so a
-        # higher gate would never open; resident-first routing needs it to.
-        top_limit = (1 << max(DEFAULT_WIDTHS)) - 1
-        if self.gate_threshold > top_limit:
+        # The tower's estimate never exceeds TOP_LIMIT, so a higher gate would
+        # never open; resident-first routing needs it to.
+        if self.gate_threshold > TOP_LIMIT:
             raise ValueError(
-                f"gate threshold {self.gate_threshold} can never open: the tower counts to at most {top_limit}"
+                f"gate threshold {self.gate_threshold} can never open: the tower counts to at most {TOP_LIMIT}"
             )
         check_count("cells per bucket", self.cells_per_bucket)
         object.__setattr__(self, "eviction_ratio", as_ratio(self.eviction_ratio))
         check_count("candidate_capacity", self.candidate_capacity, even=True)
         check_count("representative_capacity", self.representative_capacity, even=True)
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -123,24 +125,16 @@ def plan_capacity(params: SketchParams) -> CapacityPlan:
     arrays; the remainder buys as many whole buckets as fit. The plan never
     exceeds the budget.
 
-    :raises ValueError: "infeasible layout" when either stage rounds to zero.
+    :raises ValueError: "infeasible layout" when the tower's arrays fit no
+        counter (see layer_counters) or the rest fits no bucket.
     """
     per_bucket = bucket_bytes(
         params.cells_per_bucket, params.candidate_capacity, params.representative_capacity
     )
     fraction = Fraction(params.tower_fraction)
     tower_budget = int(fraction * params.total_memory_bytes)
-    per_array = tower_budget // len(DEFAULT_WIDTHS)
-    if per_array < 1:
-        raise ValueError(
-            f"infeasible layout: tower budget {tower_budget} bytes cannot cover "
-            f"{len(DEFAULT_WIDTHS)} arrays"
-        )
-    counters = tuple(per_array * 8 // w for w in DEFAULT_WIDTHS)
-    if min(counters) < 1:
-        raise ValueError(
-            f"infeasible layout: {per_array} bytes per array fit no {max(DEFAULT_WIDTHS)}-bit counter"
-        )
+    per_array = tower_budget // len(WIDTHS)
+    counters = layer_counters(per_array)
     value_budget = int((1 - fraction) * params.total_memory_bytes)
     buckets = value_budget // per_bucket
     if buckets < 1:
@@ -152,9 +146,9 @@ def plan_capacity(params: SketchParams) -> CapacityPlan:
         bucket_bytes=per_bucket,
         tower_bytes_per_array=per_array,
         tower_counters=counters,
-        tower_bytes=per_array * len(DEFAULT_WIDTHS),
+        tower_bytes=per_array * len(WIDTHS),
         value_bytes=buckets * per_bucket,
-        total_bytes=per_array * len(DEFAULT_WIDTHS) + buckets * per_bucket,
+        total_bytes=per_array * len(WIDTHS) + buckets * per_bucket,
     )
 
 
@@ -172,9 +166,7 @@ class PerKeyQuantileSketch:
         self.params = params
         plan = plan_capacity(params)
         self.plan = plan
-        self.tower = TowerFilter(
-            plan.tower_bytes_per_array, DEFAULT_WIDTHS, seed=child_seed(params.seed, SEED_TOWER)
-        )
+        self.tower = TowerFilter(plan.tower_bytes_per_array, seed=child_seed(params.seed, SEED_TOWER))
         self.values = ValueSketch(
             plan.buckets,
             params.cells_per_bucket,

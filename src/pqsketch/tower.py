@@ -7,52 +7,48 @@ arrays whose counter has not saturated, treating saturated counters as +inf.
 Estimates are one sided: collisions only ever add, so the reported count is
 always >= the key's true insertion count while the widest array still has
 headroom.
+
+This module is the one home of the tower's layout: the widths (WIDTHS), the
+largest count it can report (TOP_LIMIT) and the counters a byte budget buys
+(layer_counters). The capacity plan and the gate check in sketch.py read them
+from here.
 """
 from __future__ import annotations
 
 from .hashing import _MASK, _MIX1, _MIX2, child_seed, hash_key
 from .quantiles import check_count
 
-DEFAULT_WIDTHS = (4, 8, 16)
+WIDTHS = (4, 8, 16)
+TOP_LIMIT = (1 << WIDTHS[-1]) - 1
+
+
+def layer_counters(bytes_per_array: int) -> tuple[int, ...]:
+    """Counters per array, one entry per width in WIDTHS.
+
+    :raises ValueError: "infeasible layout" when the widest array fits no
+        counter; the narrower ones then fit at least one each.
+    """
+    counters = tuple(bytes_per_array * 8 // width for width in WIDTHS)
+    if counters[-1] < 1:
+        raise ValueError(
+            f"infeasible layout: {bytes_per_array} bytes per array fit no {WIDTHS[-1]}-bit counter"
+        )
+    return counters
 
 
 class TowerFilter:
     """Counter arrays of widths 4/8/16 bits over one shared byte budget.
 
-    :param bytes_per_array: bytes given to each array; array i holds
-        bytes_per_array * 8 // width_i counters.
-    :param widths: strictly increasing counter bit widths, one per array.
+    :param bytes_per_array: bytes given to each array; see layer_counters.
     :param seed: seed from which the per-array hash seeds derive.
     """
 
-    def __init__(
-        self,
-        bytes_per_array: int,
-        widths: tuple[int, ...] = DEFAULT_WIDTHS,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, bytes_per_array: int, seed: int = 0) -> None:
         check_count("bytes_per_array", bytes_per_array)
-        if len(widths) < 1 or any(w < 1 for w in widths):
-            raise ValueError(f"counter widths must be positive, got {widths!r}")
-        if any(a >= b for a, b in zip(widths, widths[1:])):
-            raise ValueError(f"counter widths must strictly increase, got {widths!r}")
-        self.bytes_per_array = bytes_per_array
-        self.widths = tuple(widths)
-        layers = []
-        for i, width in enumerate(self.widths):
-            counters = bytes_per_array * 8 // width
-            if counters < 1:
-                raise ValueError(
-                    f"infeasible layout: {bytes_per_array} bytes fit no {width}-bit counter"
-                )
-            layers.append((child_seed(seed, i), counters, (1 << width) - 1, [0] * counters))
-        self._layers = layers
-        self._top_limit = layers[-1][2]
-
-    @property
-    def memory_bytes(self) -> int:
-        """Accounted size: arrays times bytes per array, nothing hidden."""
-        return len(self._layers) * self.bytes_per_array
+        self._layers = [
+            (child_seed(seed, i), counters, (1 << width) - 1, [0] * counters)
+            for i, (width, counters) in enumerate(zip(WIDTHS, layer_counters(bytes_per_array)))
+        ]
 
     def insert(self, key: int) -> None:
         """Count one occurrence of key; saturated counters stay put."""
@@ -72,7 +68,7 @@ class TowerFilter:
         here instead of called; TestAdmit pins it to hash_key.
         """
         unsaturated = []
-        estimate = self._top_limit
+        estimate = TOP_LIMIT
         for seed, counters, limit, arr in self._layers:
             x = (key + seed) & _MASK
             x ^= x >> 33
@@ -98,8 +94,8 @@ class TowerFilter:
             c = arr[hash_key(key, seed) % counters]
             if c < limit and (best < 0 or c < best):
                 best = c
-        return best if best >= 0 else self._top_limit
+        return best if best >= 0 else TOP_LIMIT
 
     def __repr__(self) -> str:
         sizes = "/".join(str(counters) for _, counters, _, _ in self._layers)
-        return f"TowerFilter(widths={self.widths}, counters={sizes})"
+        return f"TowerFilter(counters={sizes})"

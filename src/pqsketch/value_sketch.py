@@ -46,6 +46,8 @@ def as_ratio(value) -> Fraction:
     here even though the binary float does not; comparisons against integer
     vote counters then multiply through with no rounding anywhere.
     """
+    if isinstance(value, bool):
+        raise ValueError(f"eviction ratio must be a number, not a bool, got {value!r}")
     if isinstance(value, Fraction):
         ratio = value
     elif isinstance(value, float):
@@ -113,10 +115,8 @@ class ValueSketch:
         # values. Building it checks the quantile weight.
         self._calibrator = Calibrator(quantile, seed)
         ratio = as_ratio(eviction_ratio)
-        self.eviction_ratio = ratio
         self._ratio_num = ratio.numerator
         self._ratio_den = ratio.denominator
-        self.quantile = quantile
         self.seed = seed
         self._r = candidate_capacity
         self._s = representative_capacity
@@ -219,11 +219,8 @@ class ValueSketch:
         """Keys of all occupied cells, in the order they claimed their cells."""
         return list(self._resident)
 
-    def tracked_count(self) -> int:
-        return len(self._resident)
-
     def __repr__(self) -> str:
         return (
             f"ValueSketch(buckets={self._u}, cells_per_bucket={self._d}, "
-            f"tracked={self.tracked_count()})"
+            f"tracked={len(self._resident)})"
         )

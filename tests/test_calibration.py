@@ -23,7 +23,6 @@ class TestParameters:
     def test_median_is_identity(self):
         c = Calibrator(0.5)
         assert c.p == 1.0
-        assert c.is_identity
         assert c.sentinel is None
 
     def test_sentinel_side(self):

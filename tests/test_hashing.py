@@ -8,30 +8,32 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pqsketch.hashing import as_key, child_seed, hash_key, mix64
+from pqsketch.hashing import as_key, child_seed, hash_key
 
 U64 = st.integers(0, (1 << 64) - 1)
 
 
 class TestMix64:
+    """The unseeded mix, hash_key(x, 0), that child seeds go through."""
+
     def test_frozen_anchors(self):
         # Pinned once; any change here silently reshuffles every sketch.
-        assert mix64(0) == 0
-        assert mix64(1) == 12994781566227106604
-        assert mix64((1 << 64) - 1) == 7256831767414464289
+        assert hash_key(0, 0) == 0
+        assert hash_key(1, 0) == 12994781566227106604
+        assert hash_key((1 << 64) - 1, 0) == 7256831767414464289
 
     @given(U64)
     def test_stays_in_64_bits(self, x):
-        assert 0 <= mix64(x) < (1 << 64)
+        assert 0 <= hash_key(x, 0) < (1 << 64)
 
     @given(U64)
     def test_deterministic(self, x):
-        assert mix64(x) == mix64(x)
+        assert hash_key(x, 0) == hash_key(x, 0)
 
     def test_injective_on_sample(self):
         rng = random.Random(1)
         xs = {rng.getrandbits(64) for _ in range(20_000)}
-        assert len({mix64(x) for x in xs}) == len(xs)
+        assert len({hash_key(x, 0) for x in xs}) == len(xs)
 
     def test_avalanche(self):
         # A single flipped input bit should flip about half the output bits.
@@ -41,7 +43,7 @@ class TestMix64:
         for _ in range(n):
             x = rng.getrandbits(64)
             bit = 1 << rng.randrange(64)
-            total += bin(mix64(x) ^ mix64(x ^ bit)).count("1")
+            total += bin(hash_key(x, 0) ^ hash_key(x ^ bit, 0)).count("1")
         assert 30.0 <= total / n <= 34.0
 
 

@@ -116,6 +116,23 @@ class TestSketchParams:
         with pytest.raises(ValueError, match="gate threshold"):
             SketchParams(gate_threshold=False)
 
+    def test_bool_is_not_a_quantile(self):
+        with pytest.raises(ValueError, match="quantile"):
+            SketchParams(quantile=True)
+
+    def test_bool_is_not_an_eviction_ratio(self):
+        with pytest.raises(ValueError, match="eviction ratio"):
+            SketchParams(eviction_ratio=True)
+
+    def test_bool_is_not_a_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            SketchParams(seed=True)
+
+    @pytest.mark.parametrize("seed", [1.5, "3", None])
+    def test_seed_must_be_an_int(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            SketchParams(seed=seed)
+
 
 class TestPlanCapacity:
     def test_default_plan_hand_checked(self):
@@ -306,7 +323,7 @@ class TestKeys:
         sk = PerKeyQuantileSketch(SketchParams(quantile=0.9, gate_threshold=0))
         for value in (1.0, 2.0, 3.0):
             sk.insert(5, value)
-        rng = sk.values._resident[5].estimator.calibrator._rng
+        rng = sk.values._resident[5].estimator._calibrator._rng
         before = cell_state(sk.values, 5), rng.getstate()
         with pytest.raises(ValueError, match="finite"):
             sk.insert(5, bad)
@@ -392,7 +409,7 @@ class TestComposedSketch:
         sk = PerKeyQuantileSketch(params)
         assert sk.memory_bytes == sk.plan.total_bytes
         assert sk.memory_bytes <= 200_000
-        assert sk.tower.memory_bytes == sk.plan.tower_bytes
+        assert [layer[1] for layer in sk.tower._layers] == list(sk.plan.tower_counters)
 
     def test_deterministic_replay(self):
         params = SketchParams(total_memory_bytes=60_000, gate_threshold=3, seed=11)

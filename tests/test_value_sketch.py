@@ -290,7 +290,7 @@ class TestPlacement:
         for key in (5, 6, 7):
             vs.insert(key, 1.0)
         assert sorted(vs.keys()) == [5, 6, 7]
-        assert vs.tracked_count() == 3
+        assert len(vs.keys()) == 3
 
     def test_query_untracked_key(self):
         vs = ValueSketch(buckets=8, cells_per_bucket=2, seed=1)
@@ -315,7 +315,7 @@ class TestPlacement:
         after_first = rng.getstate()
         vs.insert(2, 1.0)
         cells = vs.buckets[0].cells
-        assert cells[0].estimator.calibrator is cells[1].estimator.calibrator is vs._calibrator
+        assert cells[0].estimator._calibrator is cells[1].estimator._calibrator is vs._calibrator
         assert before != after_first != rng.getstate()
 
     def test_reclaimed_cell_gets_a_fresh_stream(self):
@@ -327,7 +327,7 @@ class TestPlacement:
         second = vs.buckets[0].cells[0].estimator
         assert vs.buckets[0].cells[0].key == 2
         # A fresh estimator whose draws continue the stream, not replay the victim's.
-        assert second is not first and second.calibrator is vs._calibrator
+        assert second is not first and second._calibrator is vs._calibrator
         assert vs._calibrator._rng.getstate() != state
 
     @pytest.mark.parametrize("w", [0.5, 0.9])
@@ -335,9 +335,9 @@ class TestPlacement:
         vs = ValueSketch(buckets=4, cells_per_bucket=2, eviction_ratio=1, quantile=w, seed=3)
         results = [vs.insert(i % 23, float(i)) for i in range(200)]
         # Eviction ratio 1 over 23 keys for 8 cells: cells are reclaimed too.
-        assert vs.tracked_count() == 8
+        assert len(vs.keys()) == 8
         assert sum(r.outcome is InsertOutcome.EVICTED for r in results) > 0
-        assert all(cell.estimator.calibrator is vs._calibrator for cell in vs._resident.values())
+        assert all(cell.estimator._calibrator is vs._calibrator for cell in vs._resident.values())
         assert vs._calibrator.w == w
 
 
