@@ -1,8 +1,9 @@
 """Seeded 64-bit mixing used for bucket placement and seed derivation.
 
-Everything downstream of the one user-supplied seed (counter-array hashes,
-bucket placement, the calibration streams, synthetic data) is derived
+Everything downstream of the one user-supplied seed (the counter tower's
+hash, bucket placement, the calibration streams, synthetic data) is derived
 through these functions, so two runs with the same seed replay bit for bit.
+check_seed is the one rule for what a seed may be.
 """
 from __future__ import annotations
 
@@ -20,7 +21,10 @@ def hash_key(key: int, seed: int) -> int:
     The mix is written out here rather than called, because this is the
     per-item hash and a call costs as much as a few of its steps. This is the
     reference copy; the one other copy is inlined in ``TowerFilter.admit``,
-    and tests/test_tower.py::TestAdmit pins it to this one.
+    which mixes a key once per gate step and takes all three counter indices
+    from that one value. tests/test_tower.py pins it: TestIndices checks
+    ``TowerFilter.indices`` against this function, and TestAdmit checks
+    ``admit`` against ``indices``.
     """
     x = (key + seed) & _MASK
     x ^= x >> 33
@@ -43,6 +47,12 @@ def as_key(key) -> int:
     if not 0 <= key <= _MASK:
         raise ValueError(f"key {key} outside the unsigned 64-bit range")
     return key
+
+
+def check_seed(seed) -> None:
+    """The one check of a seed: an int, not a bool. Any int works, since every hash masks."""
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
 
 
 def child_seed(seed: int, index: int) -> int:

@@ -13,6 +13,7 @@ The reference multisets themselves are built once from the stream's arrays
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left, bisect_right
 from typing import Sequence
 
@@ -23,9 +24,11 @@ Value = int | float
 
 
 def check_weight(w: float) -> None:
-    """The one check of a quantile weight: a number in [0, 1], not NaN or a bool."""
+    """The one check of a quantile weight: a real number in [0, 1], not NaN or a bool."""
     if isinstance(w, bool):
         raise ValueError(f"quantile weight must be a number, not a bool, got {w!r}")
+    if not isinstance(w, numbers.Real):
+        raise ValueError(f"quantile weight must be a real number, got {w!r}")
     if isinstance(w, float) and math.isnan(w):
         raise ValueError("quantile weight must not be NaN")
     if not 0.0 <= w <= 1.0:

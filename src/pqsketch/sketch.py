@@ -12,10 +12,11 @@ tower.py; the plan only decides the bytes per array.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hashing import _MASK, as_key, child_seed
+from .hashing import _MASK, as_key, check_seed, child_seed
 from .quantiles import Value, check_count, check_weight
 from .tower import TOP_LIMIT, WIDTHS, TowerFilter, layer_counters
 from .value_sketch import InsertResult, ValueSketch, as_ratio
@@ -87,8 +88,8 @@ class SketchParams:
     def __post_init__(self) -> None:
         check_weight(self.quantile)
         check_count("total_memory_bytes", self.total_memory_bytes)
-        if not 0.0 < self.tower_fraction < 1.0:
-            raise ValueError(f"tower fraction must lie strictly inside (0, 1), got {self.tower_fraction!r}")
+        if not isinstance(self.tower_fraction, numbers.Real) or not 0.0 < self.tower_fraction < 1.0:
+            raise ValueError(f"tower fraction must be a real number strictly inside (0, 1), got {self.tower_fraction!r}")
         if isinstance(self.gate_threshold, bool) or not isinstance(self.gate_threshold, int) or self.gate_threshold < 0:
             raise ValueError(f"gate threshold must be a nonnegative integer, got {self.gate_threshold!r}")
         # The tower's estimate never exceeds TOP_LIMIT, so a higher gate would
@@ -101,8 +102,7 @@ class SketchParams:
         object.__setattr__(self, "eviction_ratio", as_ratio(self.eviction_ratio))
         check_count("candidate_capacity", self.candidate_capacity, even=True)
         check_count("representative_capacity", self.representative_capacity, even=True)
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,13 @@
 
 Three counter arrays share one byte budget. Narrow counters are plentiful but
 saturate early; wide counters are scarce but keep counting. A key increments
-one counter per array (seeded hash each); a query takes the minimum over the
-arrays whose counter has not saturated, treating saturated counters as +inf.
-Estimates are one sided: collisions only ever add, so the reported count is
-always >= the key's true insertion count while the widest array still has
-headroom.
+one counter per array; a query takes the minimum over the arrays whose
+counter has not saturated, treating saturated counters as +inf. A key is
+hashed once per step, and the mixed-radix digits of that one 64-bit hash
+index the three arrays (see TowerFilter.indices). Estimates are one sided:
+collisions only ever add, so the reported count is always >= the key's true
+insertion count while the widest array still has headroom, however the
+indices are drawn.
 
 This module is the one home of the tower's layout: the widths (WIDTHS), the
 largest count it can report (TOP_LIMIT) and the counters a byte budget buys
@@ -15,7 +17,7 @@ from here.
 """
 from __future__ import annotations
 
-from .hashing import _MASK, _MIX1, _MIX2, child_seed, hash_key
+from .hashing import _MASK, _MIX1, _MIX2, check_seed, child_seed, hash_key
 from .quantiles import check_count
 
 WIDTHS = (4, 8, 16)
@@ -40,20 +42,35 @@ class TowerFilter:
     """Counter arrays of widths 4/8/16 bits over one shared byte budget.
 
     :param bytes_per_array: bytes given to each array; see layer_counters.
-    :param seed: seed from which the per-array hash seeds derive.
+    :param seed: an int (not a bool); the one hash seed of the tower derives
+        from it, and every array's index is a digit of that one hash.
     """
 
     def __init__(self, bytes_per_array: int, seed: int = 0) -> None:
         check_count("bytes_per_array", bytes_per_array)
+        check_seed(seed)
+        self._seed = child_seed(seed, 0)
         self._layers = [
-            (child_seed(seed, i), counters, (1 << width) - 1, [0] * counters)
-            for i, (width, counters) in enumerate(zip(WIDTHS, layer_counters(bytes_per_array)))
+            (counters, (1 << width) - 1, [0] * counters)
+            for width, counters in zip(WIDTHS, layer_counters(bytes_per_array))
         ]
+
+    def indices(self, key: int) -> tuple[int, int, int]:
+        """The counter key bumps in each array: the mixed-radix digits of one hash.
+
+        With n0, n1, n2 counters per array and x = hash_key(key, seed), the
+        indices are x % n0, x // n0 % n1 and x // (n0 * n1) % n2. For a uniform
+        x the three digits are independent and uniform up to a relative bias of
+        n0 * n1 * n2 / 2^64. Taking x % n_k per array instead would tie the
+        arrays together, because the default counts divide one another.
+        """
+        x = hash_key(key, self._seed)
+        (n0, _, _), (n1, _, _), (n2, _, _) = self._layers
+        return x % n0, x // n0 % n1, x // (n0 * n1) % n2
 
     def insert(self, key: int) -> None:
         """Count one occurrence of key; saturated counters stay put."""
-        for seed, counters, limit, arr in self._layers:
-            idx = hash_key(key, seed) % counters
+        for idx, (_, limit, arr) in zip(self.indices(key), self._layers):
             if arr[idx] < limit:
                 arr[idx] += 1
 
@@ -62,40 +79,51 @@ class TowerFilter:
 
         Otherwise key pays its fee (its unsaturated counters are bumped) and
         the answer is False. Same as query(key) >= threshold followed, when
-        that fails, by insert(key), but hashing each array's index once.
+        that fails, by insert(key), but hashing key once.
 
-        This is the per-item gate step, so hash_key's mix is written out
-        here instead of called; TestAdmit pins it to hash_key.
+        This is the per-item gate step, so hash_key's mix and the digits of
+        indices are written out here instead of called; TestAdmit pins them.
         """
-        unsaturated = []
-        estimate = TOP_LIMIT
-        for seed, counters, limit, arr in self._layers:
-            x = (key + seed) & _MASK
-            x ^= x >> 33
-            x = (x * _MIX1) & _MASK
-            x ^= x >> 33
-            x = (x * _MIX2) & _MASK
-            idx = (x ^ (x >> 33)) % counters
-            c = arr[idx]
-            if c < limit:
-                unsaturated.append((arr, idx))
-                if c < estimate:
-                    estimate = c
+        (n0, l0, a0), (n1, l1, a1), (n2, _, a2) = self._layers
+        x = (key + self._seed) & _MASK
+        x ^= x >> 33
+        x = (x * _MIX1) & _MASK
+        x ^= x >> 33
+        x = (x * _MIX2) & _MASK
+        x ^= x >> 33
+        i0 = x % n0
+        x //= n0
+        i1 = x % n1
+        i2 = x // n1 % n2
+        c0 = a0[i0]
+        c1 = a1[i1]
+        c2 = a2[i2]
+        # A saturated counter counts as +inf. The widest limit is TOP_LIMIT,
+        # so c2 alone starts the estimate.
+        estimate = c2
+        if c1 < l1 and c1 < estimate:
+            estimate = c1
+        if c0 < l0 and c0 < estimate:
+            estimate = c0
         if estimate >= threshold:
             return True
-        for arr, idx in unsaturated:
-            arr[idx] += 1
+        if c0 < l0:
+            a0[i0] = c0 + 1
+        if c1 < l1:
+            a1[i1] = c1 + 1
+        if c2 < TOP_LIMIT:
+            a2[i2] = c2 + 1
         return False
 
     def query(self, key: int) -> int:
         """Estimated count: min over unsaturated counters, else the top limit."""
-        best = -1
-        for seed, counters, limit, arr in self._layers:
-            c = arr[hash_key(key, seed) % counters]
-            if c < limit and (best < 0 or c < best):
+        best = TOP_LIMIT
+        for idx, (_, limit, arr) in zip(self.indices(key), self._layers):
+            c = arr[idx]
+            if c < limit and c < best:
                 best = c
-        return best if best >= 0 else TOP_LIMIT
+        return best
 
     def __repr__(self) -> str:
-        sizes = "/".join(str(counters) for _, counters, _, _ in self._layers)
+        sizes = "/".join(str(counters) for counters, _, _ in self._layers)
         return f"TowerFilter(counters={sizes})"

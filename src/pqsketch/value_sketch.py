@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 from .calibration import Calibrator
 from .estimator import PointEstimator
-from .hashing import as_key, hash_key
+from .hashing import as_key, check_seed, hash_key
 from .quantiles import Value, check_count
 
 
@@ -92,7 +92,8 @@ class ValueSketch:
     :param candidate_capacity: r for the per-cell estimators.
     :param representative_capacity: s for the per-cell estimators.
     :param quantile: w answered by every estimator.
-    :param seed: drives bucket placement and the calibration stream all cells share.
+    :param seed: an int (not a bool); drives bucket placement and the
+        calibration stream all cells share.
     :param hash_fn: testing seam; replaces the seeded bucket hash.
     """
 
@@ -111,6 +112,7 @@ class ValueSketch:
         check_count("cells per bucket", cells_per_bucket)
         check_count("candidate_capacity", candidate_capacity, even=True)
         check_count("representative_capacity", representative_capacity, even=True)
+        check_seed(seed)
         # Every cell draws from this one stream, so each still sees i.i.d. Z
         # values. Building it checks the quantile weight.
         self._calibrator = Calibrator(quantile, seed)

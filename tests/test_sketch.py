@@ -133,6 +133,16 @@ class TestSketchParams:
         with pytest.raises(ValueError, match="seed"):
             SketchParams(seed=seed)
 
+    @pytest.mark.parametrize("w", ["0.5", None])
+    def test_quantile_must_be_a_real_number(self, w):
+        with pytest.raises(ValueError, match="quantile weight"):
+            SketchParams(quantile=w)
+
+    @pytest.mark.parametrize("fraction", ["0.1", None])
+    def test_tower_fraction_must_be_a_real_number(self, fraction):
+        with pytest.raises(ValueError, match="tower fraction"):
+            SketchParams(tower_fraction=fraction)
+
 
 class TestPlanCapacity:
     def test_default_plan_hand_checked(self):
@@ -358,7 +368,7 @@ def sketch_state(sketch):
         )
         for bucket in sketch.values.buckets
     ]
-    counters = [arr for _, _, _, arr in sketch.tower._layers]
+    counters = [arr for _, _, arr in sketch.tower._layers]
     return buckets, counters
 
 
@@ -409,7 +419,7 @@ class TestComposedSketch:
         sk = PerKeyQuantileSketch(params)
         assert sk.memory_bytes == sk.plan.total_bytes
         assert sk.memory_bytes <= 200_000
-        assert [layer[1] for layer in sk.tower._layers] == list(sk.plan.tower_counters)
+        assert [layer[0] for layer in sk.tower._layers] == list(sk.plan.tower_counters)
 
     def test_deterministic_replay(self):
         params = SketchParams(total_memory_bytes=60_000, gate_threshold=3, seed=11)

@@ -17,7 +17,7 @@ class TestConstruction:
     def test_counter_counts_from_byte_budget(self):
         t = TowerFilter(bytes_per_array=64)
         # 64 bytes = 512 bits: 128 four-bit, 64 eight-bit, 32 sixteen-bit.
-        assert [layer[1] for layer in t._layers] == [128, 64, 32]
+        assert [layer[0] for layer in t._layers] == [128, 64, 32]
 
     def test_infeasible_budget_rejected(self):
         with pytest.raises(ValueError, match="infeasible layout"):
@@ -27,6 +27,11 @@ class TestConstruction:
         for bad in (0, -5, 2.5):
             with pytest.raises(ValueError):
                 TowerFilter(bytes_per_array=bad)
+
+    @pytest.mark.parametrize("seed", [1.5, True, "x", None])
+    def test_seed_must_be_an_int(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            TowerFilter(bytes_per_array=64, seed=seed)
 
 
 class TestCounting:
@@ -61,16 +66,17 @@ class TestCounting:
         assert t.query(8) == 300  # 8-bit layer pinned at 255
 
     def test_engineered_full_collision(self):
-        # At 2 bytes per array (counters 4/2/1) keys 1 and 14 share all
-        # three counters, so key 14 inherits every count of key 1.
+        # At 2 bytes per array (counters 4/2/1) some other key shares all
+        # three of key 1's counters, so it inherits every count of key 1.
         t = TowerFilter(bytes_per_array=2, seed=11)
+        partner = next(k for k in range(2, 100) if t.indices(k) == t.indices(1))
         for _ in range(5):
             t.insert(1)
-        assert t.query(14) == 5
+        assert t.query(partner) == 5
         for _ in range(3):
-            t.insert(14)
+            t.insert(partner)
         assert t.query(1) == 8
-        assert t.query(14) == 8
+        assert t.query(partner) == 8
 
 
 class TestOneSidedness:
@@ -138,7 +144,7 @@ class TestAdmit:
         # mid-stream, and a fully saturated key reaches the top threshold.
         fast = TowerFilter(bytes_per_array=2, seed=seed)
         slow = TowerFilter(bytes_per_array=2, seed=seed)
-        for (_, counters, limit, a), (_, _, _, b) in zip(fast._layers, slow._layers):
+        for (counters, limit, a), (_, _, b) in zip(fast._layers, slow._layers):
             value = st.one_of(st.integers(0, 40), st.integers(limit - 3, limit))
             a[:] = b[:] = data.draw(st.lists(value, min_size=counters, max_size=counters))
         for k in keys:
@@ -146,17 +152,32 @@ class TestAdmit:
             if not opened:
                 slow.insert(k)
             assert fast.admit(k, threshold) == opened
-        assert [layer[3] for layer in fast._layers] == [layer[3] for layer in slow._layers]
+        assert [layer[2] for layer in fast._layers] == [layer[2] for layer in slow._layers]
+
+    def test_saturated_counters_drop_out(self):
+        # A saturated counter counts as +inf: with the 4- and 8-bit counters
+        # pinned, the 16-bit one alone decides, up to TOP_LIMIT itself.
+        tower = TowerFilter(bytes_per_array=2, seed=0)
+        (_, l0, a0), (_, l1, a1), (_, _, a2) = tower._layers
+        a0[:] = [l0] * len(a0)
+        a1[:] = [l1] * len(a1)
+        a2[:] = [1_000]
+        assert tower.admit(7, 1_000)
+        assert not tower.admit(7, 1_001)
+        assert (a0, a1, a2) == ([l0] * len(a0), [l1] * len(a1), [1_001])
+        a2[:] = [TOP_LIMIT]
+        assert tower.admit(7, TOP_LIMIT)
 
     @settings(max_examples=200)
     @given(key=st.integers(0, 2**64 - 1), seed=st.integers(0, 2**64 - 1))
     def test_inline_mix_is_hash_key(self, key, seed):
-        # admit writes hash_key's mix out inline; over the whole key and seed
-        # range (key + seed wraps) each layer must bump hash_key's counter.
+        # admit writes hash_key's mix and the digits of indices out inline;
+        # over the whole key and seed range (key + seed wraps) each layer must
+        # bump exactly the counter that indices names.
         tower = TowerFilter(bytes_per_array=997, seed=seed)
         assert not tower.admit(key, 1)
-        for layer_seed, counters, _, arr in tower._layers:
-            assert arr[hash_key(key, layer_seed) % counters] == 1
+        for idx, (_, _, arr) in zip(tower.indices(key), tower._layers):
+            assert arr[idx] == 1
             assert sum(arr) == 1
 
 
@@ -172,17 +193,51 @@ class TestDeterminism:
         assert all(a.query(k) == b.query(k) for k in range(100))
 
     def test_different_seeds_place_keys_differently(self):
-        from pqsketch.hashing import hash_key
-
         a = TowerFilter(bytes_per_array=1024, seed=0)
         b = TowerFilter(bytes_per_array=1024, seed=1)
+        assert a.indices(77) != b.indices(77)
 
-        def placement(t, key):
-            return tuple(hash_key(key, seed) % n for seed, n, _, _ in t._layers)
-
-        assert placement(a, 77) != placement(b, 77)
-
-    def test_layers_use_distinct_seeds(self):
+    def test_layers_use_distinct_digits(self):
+        # At 16 bytes per array (counters 32/16/8) each count divides the one
+        # before it, so a layer that reused the hash's residue would copy the
+        # index of the layer above: i1 == i0 % 16 or i2 == i1 % 8 for every key.
         t = TowerFilter(bytes_per_array=16, seed=5)
-        seeds = [layer[0] for layer in t._layers]
-        assert len(set(seeds)) == len(seeds)
+        placements = [t.indices(k) for k in range(200)]
+        assert any(i1 != i0 % 16 for i0, i1, _ in placements)
+        assert any(i2 != i1 % 8 for _, i1, i2 in placements)
+
+
+class TestIndices:
+    @settings(max_examples=200)
+    @given(
+        key=st.integers(0, 2**64 - 1),
+        seed=st.integers(0, 2**64 - 1),
+        bytes_per_array=st.sampled_from([2, 997, 17_066]),
+    )
+    def test_indices_are_digits_of_one_hash(self, key, seed, bytes_per_array):
+        tower = TowerFilter(bytes_per_array=bytes_per_array, seed=seed)
+        n0, n1, n2 = (layer[0] for layer in tower._layers)
+        x = hash_key(key, tower._seed)
+        assert tower.indices(key) == (x % n0, x // n0 % n1, x // (n0 * n1) % n2)
+
+    def test_layers_collide_independently(self):
+        # At the default 17,066 bytes per array (counters 34,132/17,066/8,533)
+        # 50k keys give about C(50k, 2) / 34,132 = 36.6k pairs that share a
+        # layer-0 counter. With independent layers about 36.6k / 17,066 = 2.1
+        # of them also share a layer-1 counter and 36.6k / 8,533 = 4.3 a
+        # layer-2 counter; of the 73k layer-1 pairs about 8.6 share layer 2.
+        # An index that is the same hash's residue in every layer would make
+        # every layer-0 pair share layer 1 and layer 2 as well.
+        tower = TowerFilter(bytes_per_array=17_066, seed=2026)
+        placements = [tower.indices(k) for k in range(50_000)]
+
+        def pairs(project):
+            return sum(n * (n - 1) // 2 for n in Counter(map(project, placements)).values())
+
+        layer0 = pairs(lambda p: p[0])
+        layer1 = pairs(lambda p: p[1])
+        assert 34_000 < layer0 < 39_000
+        assert 70_000 < layer1 < 76_500
+        assert pairs(lambda p: (p[0], p[1])) <= 12
+        assert pairs(lambda p: (p[0], p[2])) <= 16
+        assert pairs(lambda p: (p[1], p[2])) <= 24

@@ -25,6 +25,13 @@ def single_bucket(eviction_ratio=4, cells=2, **kwargs):
     )
 
 
+class TestConstruction:
+    @pytest.mark.parametrize("seed", ["x", True, 1.5, None])
+    def test_seed_must_be_an_int(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            ValueSketch(4, 2, seed=seed)
+
+
 class TestAsRatio:
     def test_int_and_fraction_pass_through(self):
         assert as_ratio(4) == Fraction(4)
