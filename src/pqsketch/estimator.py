@@ -58,7 +58,7 @@ class PointEstimator:
         sentinel = cal.sentinel
         # An identity calibrator is not asked: its Z is always 1, drawn from nothing.
         if sentinel is not None:
-            z = cal.sample_geometric()
+            z = next(cal.draws)
             while z > 1:
                 z -= 1
                 c.append(sentinel)

@@ -21,8 +21,9 @@ def hash_key(key: int, seed: int) -> int:
     The mix is written out here rather than called, because this is the
     per-item hash and a call costs as much as a few of its steps. This is the
     reference copy; the one other copy is inlined in ``TowerFilter.admit``,
-    which mixes a key once per gate step and takes all three counter indices
-    from that one value. tests/test_tower.py pins it: TestIndices checks
+    which mixes a key once per gate step (a layout too large for 64-bit
+    digits adds a call here) and takes all three counter indices from that
+    value. tests/test_tower.py pins it: TestIndices checks
     ``TowerFilter.indices`` against this function, and TestAdmit checks
     ``admit`` against ``indices``.
     """

@@ -212,7 +212,7 @@ class PerKeyQuantileSketch:
         return result
 
     def query(self, key: int) -> Value:
-        """Quantile estimate for a tracked key (KeyError: "not tracked")."""
+        """Quantile estimate for a tracked key, with ValueSketch.query's key rule and errors."""
         return self.values.query(key)
 
     def tracked_keys(self) -> list[int]:

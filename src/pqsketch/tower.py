@@ -3,9 +3,10 @@
 Three counter arrays share one byte budget. Narrow counters are plentiful but
 saturate early; wide counters are scarce but keep counting. A key increments
 one counter per array; a query takes the minimum over the arrays whose
-counter has not saturated, treating saturated counters as +inf. A key is
-hashed once per step, and the mixed-radix digits of that one 64-bit hash
-index the three arrays (see TowerFilter.indices). Estimates are one sided:
+counter has not saturated, treating saturated counters as +inf. The
+mixed-radix digits of one hash of the key index the three arrays (see
+TowerFilter.indices): a 64-bit hash, or for layouts too large for 64 bits to
+reach every counter, a 128-bit one built from two. Estimates are one sided:
 collisions only ever add, so the reported count is always >= the key's true
 insertion count while the widest array still has headroom, however the
 indices are drawn.
@@ -17,11 +18,16 @@ from here.
 """
 from __future__ import annotations
 
+from array import array
+
 from .hashing import _MASK, _MIX1, _MIX2, check_seed, child_seed, hash_key
 from .quantiles import check_count
 
 WIDTHS = (4, 8, 16)
 TOP_LIMIT = (1 << WIDTHS[-1]) - 1
+# Past this many counter triples (n0 * n1 * n2) the digits come from 128 bits,
+# keeping their relative bias n0 * n1 * n2 / 2^bits under 2^-10.
+WIDE_LAYOUT = 1 << 54
 
 
 def layer_counters(bytes_per_array: int) -> tuple[int, ...]:
@@ -42,30 +48,43 @@ class TowerFilter:
     """Counter arrays of widths 4/8/16 bits over one shared byte budget.
 
     :param bytes_per_array: bytes given to each array; see layer_counters.
-    :param seed: an int (not a bool); the one hash seed of the tower derives
-        from it, and every array's index is a digit of that one hash.
+    :param seed: an int (not a bool); the tower's hash seeds derive from it,
+        and every array's index is a digit of that one hash.
     """
 
     def __init__(self, bytes_per_array: int, seed: int = 0) -> None:
         check_count("bytes_per_array", bytes_per_array)
         check_seed(seed)
-        self._seed = child_seed(seed, 0)
+        n0, n1, n2 = layer_counters(bytes_per_array)
+        # One byte holds a 4- or 8-bit counter, two bytes a 16-bit one. A
+        # bytearray indexes faster than array('B'), and admit indexes per item.
         self._layers = [
-            (counters, (1 << width) - 1, [0] * counters)
-            for width, counters in zip(WIDTHS, layer_counters(bytes_per_array))
+            (counters, (1 << width) - 1, bytearray(counters) if width <= 8 else array("H", [0]) * counters)
+            for width, counters in zip(WIDTHS, (n0, n1, n2))
         ]
+        # Everything one step reads, flat, so each method takes it in one
+        # unpack: the seed, the second seed (None unless the layout needs the
+        # 128-bit hash), and the counts, limits and arrays of _layers.
+        (_, l0, a0), (_, l1, a1), (_, _, a2) = self._layers
+        wide_seed = child_seed(seed, 1) if n0 * n1 * n2 > WIDE_LAYOUT else None
+        self._step = (child_seed(seed, 0), wide_seed, n0, l0, a0, n1, l1, a1, n2, a2)
 
     def indices(self, key: int) -> tuple[int, int, int]:
         """The counter key bumps in each array: the mixed-radix digits of one hash.
 
-        With n0, n1, n2 counters per array and x = hash_key(key, seed), the
+        With n0, n1, n2 counters per array and x = hash_key(key, s0), the
         indices are x % n0, x // n0 % n1 and x // (n0 * n1) % n2. For a uniform
         x the three digits are independent and uniform up to a relative bias of
-        n0 * n1 * n2 / 2^64. Taking x % n_k per array instead would tie the
+        n0 * n1 * n2 / 2^64. Past WIDE_LAYOUT triples that bias grows too large
+        (past 2^64 the last digit cannot reach every counter), so there x is
+        hash_key(key, s0) | hash_key(key, s1) << 64 and the bias is
+        n0 * n1 * n2 / 2^128. Taking x % n_k per array instead would tie the
         arrays together, because the default counts divide one another.
         """
-        x = hash_key(key, self._seed)
-        (n0, _, _), (n1, _, _), (n2, _, _) = self._layers
+        s0, s1, n0, _, _, n1, _, _, n2, _ = self._step
+        x = hash_key(key, s0)
+        if s1 is not None:
+            x |= hash_key(key, s1) << 64
         return x % n0, x // n0 % n1, x // (n0 * n1) % n2
 
     def insert(self, key: int) -> None:
@@ -84,13 +103,15 @@ class TowerFilter:
         This is the per-item gate step, so hash_key's mix and the digits of
         indices are written out here instead of called; TestAdmit pins them.
         """
-        (n0, l0, a0), (n1, l1, a1), (n2, _, a2) = self._layers
-        x = (key + self._seed) & _MASK
+        s0, s1, n0, l0, a0, n1, l1, a1, n2, a2 = self._step
+        x = (key + s0) & _MASK
         x ^= x >> 33
         x = (x * _MIX1) & _MASK
         x ^= x >> 33
         x = (x * _MIX2) & _MASK
         x ^= x >> 33
+        if s1 is not None:
+            x |= hash_key(key, s1) << 64
         i0 = x % n0
         x //= n0
         i1 = x % n1

@@ -210,10 +210,18 @@ class ValueSketch:
     def query(self, key: int) -> Value:
         """Quantile estimate for a tracked key.
 
+        Keys follow insert's rule: a non-int one goes through ``as_key``
+        before the lookup, and a key without a cell is range-checked.
+
         :raises KeyError: if the key holds no cell ("not tracked").
+        :raises TypeError: for a key that is not an integer, a bool included.
+        :raises ValueError: for a key outside [0, 2^64).
         """
+        if type(key) is not int:
+            key = as_key(key)
         cell = self._resident.get(key)
         if cell is None:
+            as_key(key)  # raises the range error
             raise KeyError(f"key {key!r} not tracked")
         return cell.estimator.query()
 

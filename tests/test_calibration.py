@@ -1,14 +1,19 @@
 """Tests for the geometric replication step that retargets the median."""
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import random
+from itertools import islice
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqsketch import NEG_INF, POS_INF, Calibrator
+from pqsketch.calibration import BLOCK
 
 
 class TestParameters:
@@ -73,6 +78,78 @@ class TestGeometricDraws:
         n = 100_000
         mean = sum(c.sample_geometric() for _ in range(n)) / n
         assert mean == pytest.approx(2.0, abs=0.02)
+
+
+def scalar_draws(w: float, seed: int, n: int) -> list[int]:
+    """The Z stream by its definition, one Python random() and one math.log per draw."""
+    rng = random.Random(seed)
+    log_q = math.log1p(-Calibrator(w).p)
+    return [max(1, math.ceil(math.log(1.0 - rng.random()) / log_q)) for _ in range(n)]
+
+
+class FixedUniforms:
+    """Stands in for the generator: every block is the given uniforms, cycled."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.resize(np.array(uniforms, dtype=np.float64), BLOCK)
+
+    def random_sample(self, size):
+        assert size == BLOCK
+        return self.uniforms.copy()
+
+
+class TestBlockDraws:
+    @pytest.mark.parametrize("seed", [5, 123456789, 2**63 + 7, -3])
+    @pytest.mark.parametrize("w", [0.9, 0.99, 0.1, 0.7, 1.0, 0.0])
+    def test_blocks_replay_the_scalar_stream(self, w, seed):
+        # Three block boundaries and part of a fourth block.
+        n = 3 * BLOCK + 500
+        assert list(islice(Calibrator(w, seed).draws, n)) == scalar_draws(w, seed, n)
+
+    @pytest.mark.parametrize("w", [1.0, 0.0, 0.9])
+    def test_ratios_at_integers_are_redone_exactly(self, w):
+        # 1 - U = 2^-k puts the ratio at or next to the integer k at p = 1/2,
+        # where np.log and math.log may round apart; U = 0 gives Z = 1.
+        uniforms = [0.0] + [1.0 - 2.0**-k for k in range(1, 54)]
+        c = Calibrator(w, seed=0)
+        c._rng = FixedUniforms(uniforms)
+        log_q = math.log1p(-c.p)
+        expected = [max(1, math.ceil(math.log(1.0 - u) / log_q)) for u in uniforms]
+        assert list(islice(c.draws, len(uniforms))) == expected
+
+    @pytest.mark.parametrize("w", [1.0, 0.0])
+    def test_worst_draw_fits_a_byte(self, w):
+        # The largest U below 1 leaves 1 - U = 2^-53, and p = 1/2 is the
+        # smallest p, so this is the largest Z of any weight: 53 or 54.
+        c = Calibrator(w, seed=0)
+        c._rng = FixedUniforms([1.0 - 2.0**-53])
+        z = next(c.draws)
+        assert z == math.ceil(math.log(2.0**-53) / math.log1p(-c.p))
+        assert 53 <= z <= 54 < 256
+
+    def test_generator_waits_for_the_first_block(self):
+        c = Calibrator(0.9, seed=1)
+        assert c._rng is None
+        next(c.draws)
+        assert c._rng is not None
+
+    def test_copies_and_pickles_draw_on_from_the_same_place(self):
+        # Copies taken before the first block and with a block in flight.
+        c = Calibrator(0.9, seed=9)
+        fresh = [copy.copy(c), pickle.loads(pickle.dumps(c))]
+        head = list(islice(c.draws, BLOCK + 100))
+        twins = [copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))]
+        rest = list(islice(c.draws, BLOCK))
+        assert head + rest == scalar_draws(0.9, 9, 2 * BLOCK + 100)
+        for twin in twins:
+            assert list(islice(twin.draws, BLOCK)) == rest
+        for twin in fresh:
+            assert list(islice(twin.draws, 2 * BLOCK + 100)) == head + rest
+
+    def test_identity_copies_draw_ones(self):
+        for twin in (copy.deepcopy(Calibrator(0.5)), pickle.loads(pickle.dumps(Calibrator(0.5, seed=4)))):
+            assert twin.sentinel is None and twin._rng is None
+            assert list(islice(twin.draws, 10)) == [1] * 10
 
 
 class TestCalibrate:

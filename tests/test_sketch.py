@@ -1,12 +1,16 @@
 """Tests for capacity planning, the collision model, and the composed sketch."""
 from __future__ import annotations
 
+import copy
 import gc
 import math
+import pickle
 import random
 import tracemalloc
 import warnings
 from fractions import Fraction
+from itertools import islice
+from operator import length_hint
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from pqsketch import (
     collision_probability,
     plan_capacity,
 )
+from pqsketch.calibration import BLOCK
 from pqsketch.sketch import bucket_bytes
 
 
@@ -333,11 +338,31 @@ class TestKeys:
         sk = PerKeyQuantileSketch(SketchParams(quantile=0.9, gate_threshold=0))
         for value in (1.0, 2.0, 3.0):
             sk.insert(5, value)
-        rng = sk.values._resident[5].estimator._calibrator._rng
-        before = cell_state(sk.values, 5), rng.getstate()
+        calibrator = sk.values._resident[5].estimator._calibrator
+        before = cell_state(sk.values, 5)
+        twin = copy.deepcopy(calibrator)
         with pytest.raises(ValueError, match="finite"):
             sk.insert(5, bad)
-        assert (cell_state(sk.values, 5), rng.getstate()) == before
+        # No cell changed and no draw was taken: the stream goes on as its copy does.
+        assert cell_state(sk.values, 5) == before
+        assert list(islice(calibrator.draws, 50)) == list(islice(twin.draws, 50))
+
+
+    def test_query_keys_follow_the_insert_rule(self):
+        sk = PerKeyQuantileSketch(SketchParams(gate_threshold=0))
+        sk.insert(1, 4.0)
+        # A float or bool equal to a resident key does not answer for it.
+        for bad in (1.0, True, "1"):
+            with pytest.raises(TypeError):
+                sk.query(bad)
+        for bad in (-1, 1 << 64):
+            with pytest.raises(ValueError, match="unsigned 64-bit"):
+                sk.query(bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sk.query(np.uint64(1)) == sk.query(1) == 4.0
+        with pytest.raises(KeyError, match="not tracked"):
+            sk.query(2)
 
 
 def cell_state(values, key):
@@ -467,10 +492,35 @@ def default_stream_lists():
     return stream.keys.tolist(), stream.values.tolist()
 
 
+class TestCopies:
+    """A filled sketch copies and pickles with its calibration stream mid-block."""
+
+    def test_copies_draw_and_evolve_as_the_original(self):
+        params = SketchParams(quantile=0.9, total_memory_bytes=60_000, gate_threshold=2, seed=5)
+        rng = random.Random(8)
+        pairs = [(rng.randrange(400), rng.random()) for _ in range(30_000)]
+        sk = PerKeyQuantileSketch(params)
+        for key, value in pairs[:20_000]:
+            sk.insert(key, value)
+        calibrator = sk.values._calibrator
+        assert 0 < length_hint(calibrator._current) < BLOCK, "no block in flight"
+        copies = [copy.deepcopy(sk), pickle.loads(pickle.dumps(sk))]
+        for twin in copies:
+            assert twin.values._calibrator is not calibrator
+            assert sketch_state(twin) == sketch_state(sk)
+        for key, value in pairs[20_000:]:
+            result = sk.insert(key, value)
+            assert all(twin.insert(key, value) == result for twin in copies)
+        draws = list(islice(calibrator.draws, 2 * BLOCK))
+        for twin in copies:
+            assert sketch_state(twin) == sketch_state(sk)
+            assert list(islice(twin.values._calibrator.draws, 2 * BLOCK)) == draws
+
+
 class TestRealMemory:
     """The byte budget holds in the interpreter's memory, not only in the formula."""
 
-    FACTOR = 4
+    FACTOR = 2.5
 
     @pytest.mark.parametrize("w", [0.5, 0.9])
     def test_filled_default_sketch_stays_near_its_budget(self, default_stream_lists, w):

@@ -10,7 +10,11 @@ from hypothesis import strategies as st
 
 from pqsketch import TowerFilter
 from pqsketch.hashing import hash_key
-from pqsketch.tower import TOP_LIMIT
+from pqsketch.tower import TOP_LIMIT, WIDE_LAYOUT
+
+# The smallest bytes per array whose layout takes the 128-bit digits: the
+# counters 2b, b and about b/2 multiply to about b^3, past 2^54 once b > 2^18.
+WIDE_BYTES = (1 << 18) + 1
 
 
 class TestConstruction:
@@ -146,7 +150,8 @@ class TestAdmit:
         slow = TowerFilter(bytes_per_array=2, seed=seed)
         for (counters, limit, a), (_, _, b) in zip(fast._layers, slow._layers):
             value = st.one_of(st.integers(0, 40), st.integers(limit - 3, limit))
-            a[:] = b[:] = data.draw(st.lists(value, min_size=counters, max_size=counters))
+            for i, count in enumerate(data.draw(st.lists(value, min_size=counters, max_size=counters))):
+                a[i] = b[i] = count
         for k in keys:
             opened = slow.query(k) >= threshold
             if not opened:
@@ -159,22 +164,27 @@ class TestAdmit:
         # pinned, the 16-bit one alone decides, up to TOP_LIMIT itself.
         tower = TowerFilter(bytes_per_array=2, seed=0)
         (_, l0, a0), (_, l1, a1), (_, _, a2) = tower._layers
-        a0[:] = [l0] * len(a0)
-        a1[:] = [l1] * len(a1)
-        a2[:] = [1_000]
+        a0[:] = bytes([l0] * len(a0))
+        a1[:] = bytes([l1] * len(a1))
+        a2[0] = 1_000
         assert tower.admit(7, 1_000)
         assert not tower.admit(7, 1_001)
-        assert (a0, a1, a2) == ([l0] * len(a0), [l1] * len(a1), [1_001])
-        a2[:] = [TOP_LIMIT]
+        assert (list(a0), list(a1), list(a2)) == ([l0] * len(a0), [l1] * len(a1), [1_001])
+        a2[0] = TOP_LIMIT
         assert tower.admit(7, TOP_LIMIT)
 
     @settings(max_examples=200)
-    @given(key=st.integers(0, 2**64 - 1), seed=st.integers(0, 2**64 - 1))
-    def test_inline_mix_is_hash_key(self, key, seed):
+    @given(
+        key=st.integers(0, 2**64 - 1),
+        seed=st.integers(0, 2**64 - 1),
+        bytes_per_array=st.sampled_from([997, WIDE_BYTES]),
+    )
+    def test_inline_mix_is_hash_key(self, key, seed, bytes_per_array):
         # admit writes hash_key's mix and the digits of indices out inline;
-        # over the whole key and seed range (key + seed wraps) each layer must
-        # bump exactly the counter that indices names.
-        tower = TowerFilter(bytes_per_array=997, seed=seed)
+        # over the whole key and seed range (key + seed wraps), and for the
+        # 128-bit digits of a wide layout too, each layer must bump exactly
+        # the counter that indices names.
+        tower = TowerFilter(bytes_per_array=bytes_per_array, seed=seed)
         assert not tower.admit(key, 1)
         for idx, (_, _, arr) in zip(tower.indices(key), tower._layers):
             assert arr[idx] == 1
@@ -212,13 +222,30 @@ class TestIndices:
     @given(
         key=st.integers(0, 2**64 - 1),
         seed=st.integers(0, 2**64 - 1),
-        bytes_per_array=st.sampled_from([2, 997, 17_066]),
+        bytes_per_array=st.sampled_from([2, 997, 17_066, WIDE_BYTES]),
     )
     def test_indices_are_digits_of_one_hash(self, key, seed, bytes_per_array):
         tower = TowerFilter(bytes_per_array=bytes_per_array, seed=seed)
         n0, n1, n2 = (layer[0] for layer in tower._layers)
-        x = hash_key(key, tower._seed)
+        s0, s1 = tower._step[:2]
+        x = hash_key(key, s0)
+        # Only a layout past WIDE_LAYOUT triples takes a second hash, as the high 64 bits.
+        assert (s1 is not None) == (n0 * n1 * n2 > WIDE_LAYOUT)
+        if s1 is not None:
+            x |= hash_key(key, s1) << 64
         assert tower.indices(key) == (x % n0, x // n0 % n1, x // (n0 * n1) % n2)
+
+    def test_large_layout_reaches_every_counter(self):
+        # At 4,000,000 bytes per array (counters 8M/4M/2M) n0 n1 n2 is about
+        # 2^65.8, so the last digit of a 64-bit hash stays below 2^64 / (n0 n1),
+        # about 576k, and 300k keys would land on about 234k distinct layer-2
+        # counters. Uniform digits over 2M counters give
+        # 2M * (1 - e^(-0.15)), about 278.6k, and reach the top of the array.
+        tower = TowerFilter(bytes_per_array=4_000_000, seed=2026)
+        n2 = tower._layers[2][0]
+        layer2 = [tower.indices(k)[2] for k in range(300_000)]
+        assert 275_800 < len(set(layer2)) < 281_400
+        assert max(layer2) > 0.99 * n2
 
     def test_layers_collide_independently(self):
         # At the default 17,066 bytes per array (counters 34,132/17,066/8,533)

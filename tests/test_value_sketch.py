@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqsketch import InsertOutcome, ValueSketch, collision_probability, rank_error
+from pqsketch import POS_INF, Calibrator, InsertOutcome, ValueSketch, collision_probability, rank_error
 from pqsketch.value_sketch import as_ratio
 
 
@@ -280,6 +280,19 @@ class TestKeys:
             assert vs.insert(np.int64(6), 3.0).outcome is InsertOutcome.PLACED
         assert vs.keys() == [5, 6] and all(type(k) is int for k in vs.keys())
 
+    def test_query_keys_follow_the_insert_rule(self):
+        vs = ValueSketch(buckets=8, cells_per_bucket=2, seed=1)
+        vs.insert(1, 4.0)
+        for bad in (1.0, True, False, "1"):
+            with pytest.raises(TypeError):
+                vs.query(bad)
+        for bad in (-1, 1 << 64):
+            with pytest.raises(ValueError, match="unsigned 64-bit"):
+                vs.query(bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert vs.query(np.int64(1)) == vs.query(1) == 4.0
+
 
 class TestPlacement:
     def test_keys_live_in_their_hash_bucket(self):
@@ -316,26 +329,31 @@ class TestPlacement:
         # Cells take disjoint slices of the sketch's one stream: the second
         # cell's calibration draws start where the first cell's stopped.
         vs = single_bucket(cells=2, quantile=0.9, seed=0)
-        rng = vs._calibrator._rng
-        before = rng.getstate()
+        stream = Calibrator(0.9, seed=0).draws
+        z1, z2, z3 = next(stream), next(stream), next(stream)
+        assert z1 != z2  # so a replayed stream would show
         vs.insert(1, 1.0)
-        after_first = rng.getstate()
         vs.insert(2, 1.0)
         cells = vs.buckets[0].cells
         assert cells[0].estimator._calibrator is cells[1].estimator._calibrator is vs._calibrator
-        assert before != after_first != rng.getstate()
+        assert cells[0].estimator.candidate == [POS_INF] * (z1 - 1) + [1.0]
+        assert cells[1].estimator.candidate == [POS_INF] * (z2 - 1) + [1.0]
+        assert next(vs._calibrator.draws) == z3
 
     def test_reclaimed_cell_gets_a_fresh_stream(self):
         vs = single_bucket(eviction_ratio=1, cells=1, quantile=0.9)
+        stream = Calibrator(0.9, seed=0).draws
+        z1, z2, z3 = next(stream), next(stream), next(stream)
+        assert z1 != z2  # so a replayed stream would show
         vs.insert(1, 1.0)
         first = vs.buckets[0].cells[0].estimator
-        state = vs._calibrator._rng.getstate()
         assert vs.insert(2, 1.0).outcome is InsertOutcome.EVICTED
         second = vs.buckets[0].cells[0].estimator
         assert vs.buckets[0].cells[0].key == 2
         # A fresh estimator whose draws continue the stream, not replay the victim's.
         assert second is not first and second._calibrator is vs._calibrator
-        assert vs._calibrator._rng.getstate() != state
+        assert second.candidate == [POS_INF] * (z2 - 1) + [1.0]
+        assert next(vs._calibrator.draws) == z3
 
     @pytest.mark.parametrize("w", [0.5, 0.9])
     def test_every_cell_draws_from_the_sketch_calibrator(self, w):
