@@ -23,7 +23,7 @@ from .calibration import Calibrator
 from .datagen import Stream
 from .estimator import PointEstimator
 from .hashing import child_seed
-from .quantiles import rank_error
+from .quantiles import check_count, rank_error
 from .sketch import SEED_SINGLE, PerKeyQuantileSketch, SketchParams
 
 #: Report fields that vary run to run; strip these before comparing reports.
@@ -148,10 +148,11 @@ def run_benchmark(
     estimator takes every value as key 0.
     """
     t_start = perf_counter()
-    if repeat < 1:
-        raise ValueError(f"repeat must be at least 1, got {repeat!r}")
+    check_count("repeat", repeat)
     if f_eval is None:
         f_eval = params.gate_threshold
+    elif isinstance(f_eval, bool) or not isinstance(f_eval, int) or f_eval < 0:
+        raise ValueError(f"f_eval must be a nonnegative integer, got {f_eval!r}")
     w = params.quantile
     make_sink = _SingleKeySink if single_key else PerKeyQuantileSketch
 

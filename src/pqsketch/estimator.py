@@ -18,7 +18,7 @@ import math
 from bisect import bisect_left, bisect_right
 
 from .calibration import IDENTITY, Calibrator
-from .quantiles import NEG_INF, POS_INF, Value, check_count
+from .quantiles import NEG_INF, POS_INF, Value, check_count, check_value
 
 
 class PointEstimator:
@@ -48,8 +48,8 @@ class PointEstimator:
 
     def insert(self, value: Value) -> None:
         """Insert one finite value, expanding it through the calibrator."""
-        if not math.isfinite(value):
-            raise ValueError(f"inserted values must be finite, got {value!r}")
+        if type(value) is not float or not math.isfinite(value):
+            check_value(value)
         # Candidate stays strictly below capacity between operations: the
         # append that reaches r triggers an immediate flush.
         c = self.candidate

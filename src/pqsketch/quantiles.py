@@ -42,6 +42,14 @@ def check_count(name: str, value: int, even: bool = False) -> None:
         raise ValueError(f"{name} must be a {kind}, got {value!r}")
 
 
+def check_value(value) -> None:
+    """The one check of an inserted value: a finite real number, not a bool."""
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise TypeError(f"inserted values must be real numbers, not {type(value).__name__}, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"inserted values must be finite, got {value!r}")
+
+
 def rank_toward(ordered: Sequence[Value], x: Value, w: float) -> float:
     """Rank of x resolved toward the target w when x is duplicated.
 

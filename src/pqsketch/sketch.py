@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .hashing import _MASK, as_key, check_seed, child_seed
-from .quantiles import Value, check_count, check_weight
+from .quantiles import Value, check_count, check_value, check_weight
 from .tower import TOP_LIMIT, WIDTHS, TowerFilter, layer_counters
 from .value_sketch import InsertResult, ValueSketch, as_ratio
 
@@ -195,16 +195,18 @@ class PerKeyQuantileSketch:
         only a checked key can get a cell. An admitted key is checked once:
         it goes straight to the value sketch's placement step.
 
-        :raises ValueError: for a non-finite value, whether or not the key is
-            still gated.
+        Values follow ``check_value``, whether or not the key is still gated.
+
+        :raises ValueError: for a non-finite value.
+        :raises TypeError: for a value that is a bool or not a real number.
         """
         if type(key) is not int:
             key = as_key(key)
         values = self.values
         result = values.feed(key, value)
         if result is None:
-            if not math.isfinite(value):
-                raise ValueError(f"inserted values must be finite, got {value!r}")
+            if type(value) is not float or not math.isfinite(value):
+                check_value(value)
             if not 0 <= key <= _MASK:
                 as_key(key)  # raises the range error
             if self.tower.admit(key, self.gate_threshold):

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 from .calibration import Calibrator
 from .estimator import PointEstimator
 from .hashing import as_key, check_seed, hash_key
-from .quantiles import Value, check_count
+from .quantiles import Value, check_count, check_value
 
 
 class InsertOutcome(Enum):
@@ -153,22 +153,22 @@ class ValueSketch:
         moved.
 
         Keys go through ``as_key``: a non-int one before the lookup, any before the hash.
+        Values go through ``check_value``.
         """
         if type(key) is not int:
             key = as_key(key)
         matched = self.feed(key, value)
         if matched is not None:
             return matched
-        if not math.isfinite(value):
-            raise ValueError(f"inserted values must be finite, got {value!r}")
+        check_value(value)
         as_key(key)
         return self._place(key, value)
 
     def _place(self, key: int, value: Value) -> InsertResult:
         """Claim a cell for a checked key without one, evict for it, or reject it.
 
-        The caller has run ``feed`` (which missed) and checked that value is
-        finite and key lies in [0, 2^64).
+        The caller has run ``feed`` (which missed) and checked the value
+        and that key lies in [0, 2^64).
         """
         bucket_index = self.bucket_of(key)
         bucket = self.buckets[bucket_index]

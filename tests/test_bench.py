@@ -138,8 +138,21 @@ class TestRunBenchmark:
         assert len(report.per_key) + len(evaluated & set(unanswered)) == len(evaluated)
 
     def test_repeat_validation(self):
-        with pytest.raises(ValueError, match="repeat"):
-            run_benchmark(generate(SMALL), small_params(), repeat=0)
+        stream = generate(SMALL)
+        for bad in (0, -1, True, 2.5):
+            with pytest.raises(ValueError, match="repeat must be a positive integer"):
+                run_benchmark(stream, small_params(), repeat=bad)
+
+    @pytest.mark.parametrize("bad", [-3, 2.5, True, "10"])
+    def test_f_eval_must_be_a_nonnegative_int(self, bad):
+        with pytest.raises(ValueError, match="f_eval must be a nonnegative integer"):
+            run_benchmark(generate(SMALL), small_params(), f_eval=bad, repeat=1)
+
+    def test_f_eval_zero_evaluates_every_key(self):
+        stream = generate(SMALL)
+        report = run_benchmark(stream, small_params(), f_eval=0, repeat=1)
+        assert report.config["f_eval"] == 0
+        assert report.eligible_keys == len(np.unique(stream.keys))
 
     def test_to_json_is_stable_text(self):
         report = run_benchmark(generate(SMALL), small_params(), repeat=1)
@@ -297,6 +310,12 @@ class TestCli:
                      "--w", "1.5", "--repeat", "1"])
         assert code == 2
         assert "quantile" in capsys.readouterr().err
+
+    def test_negative_f_eval_exits_2(self, capsys):
+        code = main(["bench", "--synthetic", "n_items=100,n_keys=5", "--repeat", "1",
+                     "--f-eval", "-3"])
+        assert code == 2
+        assert "f_eval" in capsys.readouterr().err
 
     def test_source_is_required_and_exclusive(self, tmp_path, capsys):
         with pytest.raises(SystemExit):

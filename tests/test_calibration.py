@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import copy
-import math
 import pickle
 import random
 from itertools import islice
@@ -39,6 +38,12 @@ class TestParameters:
             with pytest.raises(ValueError):
                 Calibrator(bad)
 
+    def test_seed_must_be_an_int(self):
+        # None would seed from OS entropy, and a stream could not be replayed.
+        for bad in (1.5, True, "x", None):
+            with pytest.raises(ValueError, match="seed"):
+                Calibrator(0.9, bad)
+
     def test_endpoints_allowed(self):
         assert Calibrator(0.0).p == 0.5
         assert Calibrator(1.0).p == 0.5
@@ -54,10 +59,10 @@ class TestGeometricDraws:
             assert c.sample_geometric() == 1
 
     def test_frozen_draw_sequence(self):
-        # Replayed once by hand from the inverse CDF with p = 0.5:
-        # Z = ceil(ln(1 - U) / ln(1 - p)).
+        # Replayed once by hand from the inverse CDF with p = 0.5 over the
+        # first uniforms of np.random.default_rng(42): Z = ceil(ln(1 - U) / ln(1 - p)).
         c = Calibrator(1.0, seed=42)
-        assert [c.sample_geometric() for _ in range(8)] == [2, 1, 1, 1, 2, 2, 4, 1]
+        assert [c.sample_geometric() for _ in range(8)] == [3, 1, 3, 2, 1, 6, 3, 3]
 
     def test_same_seed_same_stream(self):
         a = Calibrator(0.8, seed=7)
@@ -80,52 +85,46 @@ class TestGeometricDraws:
         assert mean == pytest.approx(2.0, abs=0.02)
 
 
-def scalar_draws(w: float, seed: int, n: int) -> list[int]:
-    """The Z stream by its definition, one Python random() and one math.log per draw."""
-    rng = random.Random(seed)
-    log_q = math.log1p(-Calibrator(w).p)
-    return [max(1, math.ceil(math.log(1.0 - rng.random()) / log_q)) for _ in range(n)]
-
-
 class FixedUniforms:
     """Stands in for the generator: every block is the given uniforms, cycled."""
 
     def __init__(self, uniforms):
         self.uniforms = np.resize(np.array(uniforms, dtype=np.float64), BLOCK)
 
-    def random_sample(self, size):
+    def random(self, size):
         assert size == BLOCK
         return self.uniforms.copy()
 
 
 class TestBlockDraws:
-    @pytest.mark.parametrize("seed", [5, 123456789, 2**63 + 7, -3])
-    @pytest.mark.parametrize("w", [0.9, 0.99, 0.1, 0.7, 1.0, 0.0])
-    def test_blocks_replay_the_scalar_stream(self, w, seed):
-        # Three block boundaries and part of a fourth block.
+    @pytest.mark.parametrize("seed", [5, 2**63 + 7, -3])
+    @pytest.mark.parametrize("w", [0.9, 0.99, 0.1, 1.0, 0.0])
+    def test_draws_follow_the_geometric_pmf(self, w, seed):
+        # Three block boundaries and part of a fourth block. Values of Z
+        # whose expected count falls below 5 share one tail bin.
+        scipy_stats = pytest.importorskip("scipy.stats")
         n = 3 * BLOCK + 500
-        assert list(islice(Calibrator(w, seed).draws, n)) == scalar_draws(w, seed, n)
-
-    @pytest.mark.parametrize("w", [1.0, 0.0, 0.9])
-    def test_ratios_at_integers_are_redone_exactly(self, w):
-        # 1 - U = 2^-k puts the ratio at or next to the integer k at p = 1/2,
-        # where np.log and math.log may round apart; U = 0 gives Z = 1.
-        uniforms = [0.0] + [1.0 - 2.0**-k for k in range(1, 54)]
-        c = Calibrator(w, seed=0)
-        c._rng = FixedUniforms(uniforms)
-        log_q = math.log1p(-c.p)
-        expected = [max(1, math.ceil(math.log(1.0 - u) / log_q)) for u in uniforms]
-        assert list(islice(c.draws, len(uniforms))) == expected
+        c = Calibrator(w, seed)
+        p = c.p
+        tail = 1
+        while n * (1 - p) ** tail >= 5:
+            tail += 1
+        counts = np.bincount(np.minimum(list(islice(c.draws, n)), tail), minlength=tail + 1)
+        assert counts[0] == 0
+        pmf = [(1 - p) ** (z - 1) * p for z in range(1, tail)]
+        expected = n * np.array(pmf + [(1 - p) ** (tail - 1)])
+        assert scipy_stats.chisquare(counts[1:], expected).pvalue > 0.001
 
     @pytest.mark.parametrize("w", [1.0, 0.0])
     def test_worst_draw_fits_a_byte(self, w):
         # The largest U below 1 leaves 1 - U = 2^-53, and p = 1/2 is the
         # smallest p, so this is the largest Z of any weight: 53 or 54.
+        # U = 0 gives the smallest, 1.
         c = Calibrator(w, seed=0)
-        c._rng = FixedUniforms([1.0 - 2.0**-53])
-        z = next(c.draws)
-        assert z == math.ceil(math.log(2.0**-53) / math.log1p(-c.p))
-        assert 53 <= z <= 54 < 256
+        c._rng = FixedUniforms([0.0, 1.0 - 2.0**-53])
+        low, high = islice(c.draws, 2)
+        assert low == 1
+        assert 53 <= high <= 54 < 256
 
     def test_generator_waits_for_the_first_block(self):
         c = Calibrator(0.9, seed=1)
@@ -140,7 +139,7 @@ class TestBlockDraws:
         head = list(islice(c.draws, BLOCK + 100))
         twins = [copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))]
         rest = list(islice(c.draws, BLOCK))
-        assert head + rest == scalar_draws(0.9, 9, 2 * BLOCK + 100)
+        assert head + rest == list(islice(Calibrator(0.9, seed=9).draws, 2 * BLOCK + 100))
         for twin in twins:
             assert list(islice(twin.draws, BLOCK)) == rest
         for twin in fresh:
@@ -154,9 +153,9 @@ class TestBlockDraws:
 
 class TestCalibrate:
     def test_frozen_low_weight_emission(self):
-        # First draw at seed 0 is Z = 3, so two low-side sentinels lead.
+        # First draw at seed 0 is Z = 2, so one low-side sentinel leads.
         c = Calibrator(0.1, seed=0)
-        assert c.calibrate(7.5) == [NEG_INF, NEG_INF, 7.5]
+        assert c.calibrate(7.5) == [NEG_INF, 7.5]
 
     def test_median_weight_is_passthrough(self):
         c = Calibrator(0.5, seed=9)
@@ -168,6 +167,13 @@ class TestCalibrate:
         for bad in (POS_INF, NEG_INF, float("nan")):
             with pytest.raises(ValueError, match="finite"):
                 c.calibrate(bad)
+
+    def test_rejects_bools_and_non_reals(self):
+        c = Calibrator(0.7, seed=1)
+        for bad in (True, False, "1", None, 1j):
+            with pytest.raises(TypeError):
+                c.calibrate(bad)
+        assert list(islice(c.draws, 50)) == list(islice(Calibrator(0.7, seed=1).draws, 50))
 
     @settings(max_examples=60)
     @given(

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 import random
 
 import pytest
@@ -47,6 +48,10 @@ class CountingValue:
         return self.x
 
 
+# Inserted values must be real numbers; the stand-in is one for check_value.
+numbers.Real.register(CountingValue)
+
+
 class TestValidation:
     def test_capacities_must_be_positive_even(self):
         for bad in (0, -2, 3, 15, 2.0):
@@ -60,6 +65,15 @@ class TestValidation:
         for bad in (POS_INF, NEG_INF, float("nan")):
             with pytest.raises(ValueError, match="finite"):
                 e.insert(bad)
+
+    def test_rejects_bools_and_non_reals(self):
+        e = PointEstimator(calibrator=Calibrator(0.9, seed=2))
+        for bad in (False, True, "1", None, 1j):
+            with pytest.raises(TypeError):
+                e.insert(bad)
+        assert e.candidate == [] and e.representative == []
+        e.insert(3)
+        assert e.query() == 3
 
     def test_query_before_data(self):
         with pytest.raises(ValueError, match="insufficient data"):

@@ -348,6 +348,21 @@ class TestKeys:
         assert list(islice(calibrator.draws, 50)) == list(islice(twin.draws, 50))
 
 
+    def test_bool_and_non_real_values_are_refused(self):
+        # A resident key checks in its estimator, a gated one before the tower.
+        sk = PerKeyQuantileSketch(SketchParams(gate_threshold=2))
+        for value in (1.0, 2.0, 3.0, 4.0):
+            sk.insert(1, value)
+        before = cell_state(sk.values, 1)
+        answer = sk.query(1)
+        for key in (1, 9):
+            for bad in (True, False, "1", None, 1j):
+                with pytest.raises(TypeError, match="real"):
+                    sk.insert(key, bad)
+        assert cell_state(sk.values, 1) == before
+        assert sk.tracked_keys() == [1] and sk.tower.query(9) == 0
+        assert sk.query(1) == answer
+
     def test_query_keys_follow_the_insert_rule(self):
         sk = PerKeyQuantileSketch(SketchParams(gate_threshold=0))
         sk.insert(1, 4.0)

@@ -271,6 +271,17 @@ class TestKeys:
                 vs.insert(bad, 2.0)
         assert vs.keys() == []
 
+    def test_bool_and_non_real_values_are_refused(self):
+        vs = ValueSketch(buckets=8, cells_per_bucket=2, seed=1)
+        vs.insert(5, 1.0)
+        cell = vs._resident[5]
+        for key in (5, 6):
+            for bad in (True, False, "1", None, 1j):
+                with pytest.raises(TypeError, match="real"):
+                    vs.insert(key, bad)
+        assert vs.keys() == [5] and cell.vote_plus == 1
+        assert cell.estimator.candidate == [1.0]
+
     def test_resident_numpy_key_is_matched(self):
         vs = ValueSketch(buckets=8, cells_per_bucket=2, seed=1)
         vs.insert(5, 1.0)
