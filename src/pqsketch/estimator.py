@@ -47,7 +47,12 @@ class PointEstimator:
         self.representative: list[Value] = []
 
     def insert(self, value: Value) -> None:
-        """Insert one finite value, expanding it through the calibrator."""
+        """Insert one finite value, expanding it through the calibrator.
+
+        This is the reference copy of the push. ``PerKeyQuantileSketch.insert``
+        runs an inline copy of it for a key that holds a cell, which
+        ``tests/test_sketch.py::TestResidentFirst`` checks against this one.
+        """
         if type(value) is not float or not math.isfinite(value):
             check_value(value)
         # Candidate stays strictly below capacity between operations: the

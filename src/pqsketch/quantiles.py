@@ -43,10 +43,20 @@ def check_count(name: str, value: int, even: bool = False) -> None:
 
 
 def check_value(value) -> None:
-    """The one check of an inserted value: a finite real number, not a bool."""
+    """The one check of an inserted value: a finite real number, not a bool.
+
+    A number too large for a float (``10**400``) is out of the domain, like
+    inf: ValueError, not the OverflowError of converting it.
+    """
     if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise TypeError(f"inserted values must be real numbers, not {type(value).__name__}, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        # No repr: a huge int may exceed the digit limit of int-to-str conversion.
+        kind = type(value).__name__
+        raise ValueError(f"inserted values must be finite, got a value of type {kind} beyond the float range") from None
+    if not finite:
         raise ValueError(f"inserted values must be finite, got {value!r}")
 
 

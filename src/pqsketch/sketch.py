@@ -15,11 +15,12 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isfinite
 
 from .hashing import _MASK, as_key, check_seed, child_seed
 from .quantiles import Value, check_count, check_value, check_weight
 from .tower import TOP_LIMIT, WIDTHS, TowerFilter, layer_counters
-from .value_sketch import InsertResult, ValueSketch, as_ratio
+from .value_sketch import _MATCHED, InsertResult, ValueSketch, as_ratio
 
 # Accounted bytes per tracked cell: an 8-byte key, a 4-byte positive vote, and
 # 9 bytes (8-byte value + tag byte) per buffered entry across both estimator
@@ -177,6 +178,10 @@ class PerKeyQuantileSketch:
             seed=child_seed(params.seed, SEED_VALUES),
         )
         self.gate_threshold = params.gate_threshold
+        # Aliases for the matched step in insert(). The calibrator is kept,
+        # never its draws iterator: a copy rebuilds that iterator.
+        self._resident = self.values._resident
+        self._calibrator = self.values._calibrator
 
     @property
     def memory_bytes(self) -> int:
@@ -190,31 +195,63 @@ class PerKeyQuantileSketch:
         grow and a saturated counter only leaves the min. Every other key
         takes one tower step and, once admitted, goes to the value sketch.
 
+        The matched step (vote, calibration draw, sentinels, push) runs here,
+        in this one frame: it is an inline copy of ``ValueSketch.feed`` and
+        ``PointEstimator.insert``, and ``TestResidentFirst`` checks it against
+        them for both sentinel kinds and the identity.
+
         A key that is not exactly an int goes through ``as_key`` before the
         lookup, and a key without a cell is range-checked before the tower, so
         only a checked key can get a cell. An admitted key is checked once:
         it goes straight to the value sketch's placement step.
 
-        Values follow ``check_value``, whether or not the key is still gated.
+        Values follow ``check_value``, whether or not the key is still gated,
+        and are checked before anything changes.
 
-        :raises ValueError: for a non-finite value.
+        :raises ValueError: for a non-finite value or one beyond the float range.
         :raises TypeError: for a value that is a bool or not a real number.
         """
         if type(key) is not int:
             key = as_key(key)
-        values = self.values
-        result = values.feed(key, value)
-        if result is None:
-            if type(value) is not float or not math.isfinite(value):
+        cell = self._resident.get(key)
+        if cell is not None:
+            if type(value) is not float or not isfinite(value):
                 check_value(value)
-            if not 0 <= key <= _MASK:
-                as_key(key)  # raises the range error
-            if self.tower.admit(key, self.gate_threshold):
-                result = values._place(key, value)
-        return result
+            cell.vote_plus += 1
+            est = cell.estimator
+            c = est.candidate
+            r = est._r
+            cal = self._calibrator
+            sentinel = cal.sentinel
+            if sentinel is not None:
+                z = next(cal.draws)
+                while z > 1:
+                    z -= 1
+                    c.append(sentinel)
+                    if len(c) >= r:
+                        est._flush()
+            c.append(value)
+            if len(c) >= r:
+                est._flush()
+            return _MATCHED
+        if type(value) is not float or not isfinite(value):
+            check_value(value)
+        if not 0 <= key <= _MASK:
+            as_key(key)  # raises the range error
+        if self.tower.admit(key, self.gate_threshold):
+            return self.values._place(key, value)
+        return None
 
     def query(self, key: int) -> Value:
-        """Quantile estimate for a tracked key, with ValueSketch.query's key rule and errors."""
+        """Quantile estimate for a tracked key, with ValueSketch.query's key rule and errors.
+
+        An int key that holds a cell is answered here; every other key goes
+        to ``ValueSketch.query``, which applies the key rule.
+        """
+        if type(key) is int:
+            cell = self._resident.get(key)
+            if cell is not None:
+                return cell.estimator.query()
         return self.values.query(key)
 
     def tracked_keys(self) -> list[int]:

@@ -198,6 +198,10 @@ class ValueSketch:
     def feed(self, key: int, value: Value) -> InsertResult | None:
         """Insert into the key's own cell, if it holds one (a matched insert).
 
+        This is the reference copy of the matched step. ``PerKeyQuantileSketch.insert``
+        runs an inline copy of it (and of ``PointEstimator.insert``), which
+        ``tests/test_sketch.py::TestResidentFirst`` checks against this one.
+
         :returns: None when the key holds no cell; then no cell or vote changed.
         """
         cell = self._resident.get(key)

@@ -164,7 +164,7 @@ class TestCalibrate:
 
     def test_rejects_non_finite_input(self):
         c = Calibrator(0.7, seed=1)
-        for bad in (POS_INF, NEG_INF, float("nan")):
+        for bad in (POS_INF, NEG_INF, float("nan"), 10**400):
             with pytest.raises(ValueError, match="finite"):
                 c.calibrate(bad)
 

@@ -62,7 +62,7 @@ class TestValidation:
 
     def test_rejects_non_finite_inserts(self):
         e = PointEstimator()
-        for bad in (POS_INF, NEG_INF, float("nan")):
+        for bad in (POS_INF, NEG_INF, float("nan"), 10**400):
             with pytest.raises(ValueError, match="finite"):
                 e.insert(bad)
 

@@ -28,6 +28,9 @@ from pqsketch import (
 from pqsketch.calibration import BLOCK
 from pqsketch.sketch import bucket_bytes
 
+# Values outside the domain; 10**400 is an int too large for a float.
+NON_FINITE = [math.nan, math.inf, -math.inf, pytest.param(10**400, id="10**400")]
+
 
 class TestBucketBytes:
     def test_hand_computed_default_layout(self):
@@ -275,13 +278,23 @@ class TestGate:
         with pytest.raises(KeyError, match="not tracked"):
             sk.query(1)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", NON_FINITE)
     def test_gated_key_rejects_non_finite_values(self, bad):
-        sk = PerKeyQuantileSketch(self.params())
+        sk = PerKeyQuantileSketch(self.params(quantile=0.9))
+        # Key 7 holds a cell, so the calibration stream has started drawing.
+        for i in range(8):
+            sk.insert(7, float(i))
+        for i in range(3):
+            sk.insert(42, float(i))
+        assert sk.tracked_keys() == [7]
+        before = copy.deepcopy(sketch_state(sk))
+        twin = copy.deepcopy(sk.values._calibrator)
         with pytest.raises(ValueError, match="finite"):
             sk.insert(42, bad)
-        # Refused before the gate: the key paid nothing.
-        assert sk.tower.query(42) == 0
+        # Refused before the gate: the key paid nothing and no draw was taken.
+        assert sk.tower.query(42) == 3
+        assert sketch_state(sk) == before
+        assert list(islice(sk.values._calibrator.draws, 50)) == list(islice(twin.draws, 50))
 
 
 class TestKeys:
@@ -333,18 +346,21 @@ class TestKeys:
         assert cell_state(sk.values, 5) == before
         assert sk.tracked_keys() == [5]
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", NON_FINITE)
     def test_resident_key_refuses_non_finite_values(self, bad):
         sk = PerKeyQuantileSketch(SketchParams(quantile=0.9, gate_threshold=0))
         for value in (1.0, 2.0, 3.0):
             sk.insert(5, value)
         calibrator = sk.values._resident[5].estimator._calibrator
         before = cell_state(sk.values, 5)
+        whole = copy.deepcopy(sketch_state(sk))
         twin = copy.deepcopy(calibrator)
         with pytest.raises(ValueError, match="finite"):
             sk.insert(5, bad)
-        # No cell changed and no draw was taken: the stream goes on as its copy does.
+        # No cell changed, the tower did not move and no draw was taken: the
+        # stream goes on as its copy does.
         assert cell_state(sk.values, 5) == before
+        assert sketch_state(sk) == whole
         assert list(islice(calibrator.draws, 50)) == list(islice(twin.draws, 50))
 
 
@@ -420,7 +436,7 @@ class TestResidentFirst:
     @settings(max_examples=60, deadline=None)
     @given(
         threshold=st.sampled_from([0, 1, 3]),
-        w=st.sampled_from([0.5, 0.9]),
+        w=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
         cells=st.integers(1, 3),
         ratio=st.sampled_from([1, 4]),
         seed=st.integers(0, 2**32),

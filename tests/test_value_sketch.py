@@ -333,8 +333,9 @@ class TestPlacement:
             ValueSketch(buckets=0, cells_per_bucket=2)
         with pytest.raises(ValueError, match="cells per bucket"):
             ValueSketch(buckets=2, cells_per_bucket=0)
-        with pytest.raises(ValueError, match="finite"):
-            ValueSketch(buckets=2, cells_per_bucket=2).insert(1, float("nan"))
+        for bad in (float("nan"), 10**400):
+            with pytest.raises(ValueError, match="finite"):
+                ValueSketch(buckets=2, cells_per_bucket=2).insert(1, bad)
 
     def test_cell_estimators_use_distinct_streams(self):
         # Cells take disjoint slices of the sketch's one stream: the second
