@@ -105,8 +105,8 @@ def _timed_inserts(stream: Stream, insert) -> float:
     elapsed = 0.0
     for keys, values in stream.chunks():
         t0 = perf_counter()
-        for pair in zip(keys, values):
-            insert(*pair)
+        for key, value in zip(keys, values):
+            insert(key, value)
         elapsed += perf_counter() - t0
     return elapsed
 

@@ -10,7 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqsketch import POS_INF, Calibrator, InsertOutcome, ValueSketch, collision_probability, rank_error
+from pqsketch import (
+    POS_INF,
+    Calibrator,
+    InsertOutcome,
+    PointEstimator,
+    ValueSketch,
+    collision_probability,
+    rank_error,
+)
 from pqsketch.value_sketch import as_ratio
 
 
@@ -186,6 +194,107 @@ class TestVoteAccounting:
         assert result.evicted_key == 1
 
 
+class ScanningModel:
+    """Reference for ValueSketch placement: a full scan on every full-bucket
+    miss, and a fresh cell (new estimator, new buffers) on every eviction."""
+
+    def __init__(self, buckets, cells, ratio, route, r, s, quantile, seed):
+        self.u = buckets
+        self.ratio = as_ratio(ratio)
+        self.route = route
+        self.r, self.s = r, s
+        self.calibrator = Calibrator(quantile, seed)
+        self.cells = [[None] * cells for _ in range(buckets)]  # [key, vote, estimator]
+        self.vote_minus = [0] * buckets
+        self.resident: dict[int, list] = {}
+
+    def fresh(self, key, value):
+        cell = [key, 1, PointEstimator(self.r, self.s, self.calibrator)]
+        cell[2].insert(value)
+        self.resident[key] = cell
+        return cell
+
+    def insert(self, key, value):
+        cell = self.resident.get(key)
+        if cell is not None:
+            cell[2].insert(value)
+            cell[1] += 1
+            return InsertOutcome.MATCHED, None
+        b = self.route(key) % self.u
+        cells = self.cells[b]
+        if None in cells:
+            cells[cells.index(None)] = self.fresh(key, value)
+            return InsertOutcome.PLACED, None
+        self.vote_minus[b] += 1
+        weakest = min(range(len(cells)), key=lambda j: cells[j][1])  # first minimum
+        if self.vote_minus[b] < self.ratio * cells[weakest][1]:
+            return InsertOutcome.REJECTED, None
+        evicted = cells[weakest][0]
+        del self.resident[evicted]
+        cells[weakest] = self.fresh(key, value)
+        self.vote_minus[b] = 0
+        return InsertOutcome.EVICTED, evicted
+
+    def state(self):
+        return [
+            (minus, [None if c is None else (c[0], c[1], c[2].candidate, c[2].representative) for c in cells])
+            for minus, cells in zip(self.vote_minus, self.cells)
+        ]
+
+
+def sketch_state(vs):
+    return [
+        (
+            bucket.vote_minus,
+            [
+                None if c is None else (c.key, c.vote_plus, c.estimator.candidate, c.estimator.representative)
+                for c in bucket.cells
+            ],
+        )
+        for bucket in vs.buckets
+    ]
+
+
+class TestVoteFloor:
+    """A full bucket's vote floor only skips scans: placement agrees step for
+    step with a model that scans every time and never reuses a cell."""
+
+    KEYS = 12
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        route=st.lists(st.integers(0, 2), min_size=KEYS, max_size=KEYS),
+        buckets=st.integers(1, 3),
+        cells=st.integers(1, 3),
+        ratio=st.sampled_from([1, 4, Fraction(5, 2), "0.1"]),
+        quantile=st.sampled_from([0.5, 0.9]),
+        seed=st.integers(0, 3),
+        # Runs of one key against at most 9 cells for 12 keys: matched,
+        # placed, rejected and evicted items all occur, and residents build
+        # up votes, so scans raise floors above 1 before evictions.
+        runs=st.lists(
+            st.tuples(st.integers(0, KEYS - 1), st.integers(1, 5), st.floats(-1e6, 1e6, allow_nan=False)),
+            max_size=100,
+        ),
+    )
+    def test_agrees_with_a_scanning_model(self, route, buckets, cells, ratio, quantile, seed, runs):
+        items = [(key, value + i) for key, length, value in runs for i in range(length)]
+        options = dict(candidate_capacity=4, representative_capacity=4, quantile=quantile, seed=seed)
+        vs = ValueSketch(buckets, cells, eviction_ratio=ratio, hash_fn=route.__getitem__, **options)
+        model = ScanningModel(
+            buckets, cells, ratio, route.__getitem__, options["candidate_capacity"],
+            options["representative_capacity"], quantile, seed,
+        )
+        for key, value in items:
+            result = vs.insert(key, value)
+            assert (result.outcome, result.evicted_key) == model.insert(key, value)
+            assert sketch_state(vs) == model.state()
+            assert vs.keys() == list(model.resident)
+            for floor, bucket in zip(vs._floors, vs.buckets):
+                if None not in bucket.cells:
+                    assert floor <= min(c.vote_plus for c in bucket.cells)
+
+
 class TestResidentIndex:
     """The key index holds exactly the occupied cells, so lookups through it
     give what a scan of the key's bucket gives."""
@@ -355,17 +464,26 @@ class TestPlacement:
     def test_reclaimed_cell_gets_a_fresh_stream(self):
         vs = single_bucket(eviction_ratio=1, cells=1, quantile=0.9)
         stream = Calibrator(0.9, seed=0).draws
-        z1, z2, z3 = next(stream), next(stream), next(stream)
-        assert z1 != z2  # so a replayed stream would show
-        vs.insert(1, 1.0)
-        first = vs.buckets[0].cells[0].estimator
-        assert vs.insert(2, 1.0).outcome is InsertOutcome.EVICTED
-        second = vs.buckets[0].cells[0].estimator
-        assert vs.buckets[0].cells[0].key == 2
-        # A fresh estimator whose draws continue the stream, not replay the victim's.
-        assert second is not first and second._calibrator is vs._calibrator
-        assert second.candidate == [POS_INF] * (z2 - 1) + [1.0]
-        assert next(vs._calibrator.draws) == z3
+        held = 10
+        zs = [next(stream) for _ in range(held + 2)]
+        # Key 2's first draw differs from the stream's first, so a replayed
+        # stream would show.
+        assert zs[0] != zs[held]
+        for i in range(held):
+            vs.insert(1, float(i))
+        cell = vs.buckets[0].cells[0]
+        assert cell.vote_plus == held and cell.estimator.representative
+        outcomes = [vs.insert(2, 1.0).outcome for _ in range(held)]
+        assert outcomes == [InsertOutcome.REJECTED] * (held - 1) + [InsertOutcome.EVICTED]
+        cell = vs.buckets[0].cells[0]
+        assert cell.key == 2 and cell.vote_plus == 1
+        assert vs._resident == {2: cell}
+        # Nothing of key 1 is left, and the draws continue the stream.
+        estimator = cell.estimator
+        assert estimator._calibrator is vs._calibrator
+        assert estimator.representative == []
+        assert estimator.candidate == [POS_INF] * (zs[held] - 1) + [1.0]
+        assert next(vs._calibrator.draws) == zs[held + 1]
 
     @pytest.mark.parametrize("w", [0.5, 0.9])
     def test_every_cell_draws_from_the_sketch_calibrator(self, w):
