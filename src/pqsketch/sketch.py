@@ -178,6 +178,9 @@ class PerKeyQuantileSketch:
             seed=child_seed(params.seed, SEED_VALUES),
         )
         self.gate_threshold = params.gate_threshold
+        # u when admit's quotient picks the bucket (as q % u), else None, and
+        # the value sketch hashes the key for its bucket (see insert).
+        self._quotient_buckets = plan.buckets if self.tower.quotient_covers(plan.buckets) else None
         # Aliases for the matched step in insert(). The calibrator is kept,
         # never its draws iterator: a copy rebuilds that iterator.
         self._resident = self.values._resident
@@ -204,6 +207,12 @@ class PerKeyQuantileSketch:
         lookup, and a key without a cell is range-checked before the tower, so
         only a checked key can get a cell. An admitted key is checked once:
         it goes straight to the value sketch's placement step.
+
+        An admitted key's bucket is a fourth digit of the tower's hash, the
+        quotient q that admit returns, taken as q % u, so the key is hashed
+        once. A layout whose quotient spans fewer than 2^10 u values (see
+        ``TowerFilter.quotient_covers``; about 1 MB to 7.9 MB at the default
+        tower fraction) keeps ``ValueSketch.bucket_of``, a second hash.
 
         Values follow ``check_value``, whether or not the key is still gated,
         and are checked before anything changes.
@@ -238,9 +247,12 @@ class PerKeyQuantileSketch:
             check_value(value)
         if not 0 <= key <= _MASK:
             as_key(key)  # raises the range error
-        if self.tower.admit(key, self.gate_threshold):
-            return self.values._place(key, value)
-        return None
+        q = self.tower.admit(key, self.gate_threshold)
+        if q is None:
+            return None
+        u = self._quotient_buckets
+        values = self.values
+        return values._place(key, value, q % u if u is not None else values.bucket_of(key))
 
     def query(self, key: int) -> Value:
         """Quantile estimate for a tracked key, with ValueSketch.query's key rule and errors.

@@ -6,7 +6,10 @@ one counter per array; a query takes the minimum over the arrays whose
 counter has not saturated, treating saturated counters as +inf. The
 mixed-radix digits of one hash of the key index the three arrays (see
 TowerFilter.indices): a 64-bit hash, or for layouts too large for 64 bits to
-reach every counter, a 128-bit one built from two. Estimates are one sided:
+reach every counter, a 128-bit one built from two. What is left of the hash
+above the three digits, the quotient, is handed to the caller of admit, which
+may take a fourth digit from it (the composed sketch's bucket; see
+TowerFilter.quotient_covers). Estimates are one sided:
 collisions only ever add, so the reported count is always >= the key's true
 insertion count while the widest array still has headroom, however the
 indices are drawn.
@@ -20,14 +23,16 @@ from __future__ import annotations
 
 from array import array
 
-from .hashing import _MASK, _MIX1, _MIX2, check_seed, child_seed, hash_key
+from .hashing import _MASK, _MIX1, _MIX2, as_key, check_seed, child_seed, hash_key
 from .quantiles import check_count
 
 WIDTHS = (4, 8, 16)
 TOP_LIMIT = (1 << WIDTHS[-1]) - 1
+# Every digit taken from the hash keeps its relative bias under 2^-BIAS_BITS.
+BIAS_BITS = 10
 # Past this many counter triples (n0 * n1 * n2) the digits come from 128 bits,
-# keeping their relative bias n0 * n1 * n2 / 2^bits under 2^-10.
-WIDE_LAYOUT = 1 << 54
+# keeping their relative bias n0 * n1 * n2 / 2^bits under 2^-BIAS_BITS.
+WIDE_LAYOUT = 1 << (64 - BIAS_BITS)
 
 
 def layer_counters(bytes_per_array: int) -> tuple[int, ...]:
@@ -66,8 +71,23 @@ class TowerFilter:
         # unpack: the seed, the second seed (None unless the layout needs the
         # 128-bit hash), and the counts, limits and arrays of _layers.
         (_, l0, a0), (_, l1, a1), (_, _, a2) = self._layers
-        wide_seed = child_seed(seed, 1) if n0 * n1 * n2 > WIDE_LAYOUT else None
+        wide = n0 * n1 * n2 > WIDE_LAYOUT
+        wide_seed = child_seed(seed, 1) if wide else None
         self._step = (child_seed(seed, 0), wide_seed, n0, l0, a0, n1, l1, a1, n2, a2)
+        # How many values admit's quotient x // (n0 * n1 * n2) takes.
+        self._quotients = (1 << (128 if wide else 64)) // (n0 * n1 * n2)
+
+    def quotient_covers(self, slots: int) -> bool:
+        """Whether admit's quotient q may pick one of slots, as q % slots.
+
+        q = x // (n0 * n1 * n2) is the hash above the three digits, so for a
+        uniform x it is independent of them. It takes 2^bits // (n0 * n1 * n2)
+        values (bits is 64, or 128 past WIDE_LAYOUT), and q % slots is uniform
+        up to a relative bias of slots over that count. Like the digits, it
+        serves only while that bias stays under 2^-10, that is while
+        n0 * n1 * n2 * slots <= 2^(bits - 10).
+        """
+        return self._quotients >> BIAS_BITS >= slots
 
     def indices(self, key: int) -> tuple[int, int, int]:
         """The counter key bumps in each array: the mixed-radix digits of one hash.
@@ -80,7 +100,13 @@ class TowerFilter:
         hash_key(key, s0) | hash_key(key, s1) << 64 and the bias is
         n0 * n1 * n2 / 2^128. Taking x % n_k per array instead would tie the
         arrays together, because the default counts divide one another.
+
+        Keys follow ``as_key``: a bool or non-integer raises TypeError, a key
+        outside [0, 2^64) ValueError, so no key can alias another by wrapping.
+        insert and query take their indices from here, so the rule holds for
+        them too.
         """
+        key = as_key(key)
         s0, s1, n0, _, _, n1, _, _, n2, _ = self._step
         x = hash_key(key, s0)
         if s1 is not None:
@@ -93,15 +119,19 @@ class TowerFilter:
             if arr[idx] < limit:
                 arr[idx] += 1
 
-    def admit(self, key: int, threshold: int) -> bool:
-        """One gate step: True if key's estimate has reached threshold.
+    def admit(self, key: int, threshold: int) -> int | None:
+        """One gate step: the hash's quotient if key's estimate has reached threshold.
 
-        Otherwise key pays its fee (its unsaturated counters are bumped) and
-        the answer is False. Same as query(key) >= threshold followed, when
-        that fails, by insert(key), but hashing key once.
+        The quotient is x // (n0 * n1 * n2), the rest of the hash above the
+        three counter digits (see indices and quotient_covers). It may be 0,
+        so callers test the answer with ``is None``. Otherwise key pays its
+        fee (its unsaturated counters are bumped) and the answer is None.
+        Same as query(key) >= threshold followed, when that fails, by
+        insert(key), but hashing key once.
 
         This is the per-item gate step, so hash_key's mix and the digits of
         indices are written out here instead of called; TestAdmit pins them.
+        The key is not checked here: the caller has applied ``as_key``'s rule.
         """
         s0, s1, n0, l0, a0, n1, l1, a1, n2, a2 = self._step
         x = (key + s0) & _MASK
@@ -115,7 +145,8 @@ class TowerFilter:
         i0 = x % n0
         x //= n0
         i1 = x % n1
-        i2 = x // n1 % n2
+        x //= n1
+        i2 = x % n2
         c0 = a0[i0]
         c1 = a1[i1]
         c2 = a2[i2]
@@ -127,14 +158,14 @@ class TowerFilter:
         if c0 < l0 and c0 < estimate:
             estimate = c0
         if estimate >= threshold:
-            return True
+            return x // n2
         if c0 < l0:
             a0[i0] = c0 + 1
         if c1 < l1:
             a1[i1] = c1 + 1
         if c2 < TOP_LIMIT:
             a2[i2] = c2 + 1
-        return False
+        return None
 
     def query(self, key: int) -> int:
         """Estimated count: min over unsaturated counters, else the top limit."""

@@ -37,6 +37,10 @@ class InsertResult(NamedTuple):
 _MATCHED = InsertResult(InsertOutcome.MATCHED)
 _PLACED = InsertResult(InsertOutcome.PLACED)
 _REJECTED = InsertResult(InsertOutcome.REJECTED)
+# An eviction's result carries the victim's key, so it is built per call:
+# tuple.__new__(InsertResult, (_EVICTED, key)) skips the NamedTuple's
+# Python-level __new__ and the enum attribute lookup.
+_EVICTED = InsertOutcome.EVICTED
 
 
 def as_ratio(value) -> Fraction:
@@ -86,6 +90,15 @@ class Bucket:
     invariant can only break where a cell is replaced. ``ValueSketch._place``
     is the one place that does so, and it resets the floor to 1 at every
     eviction.
+
+    Invariant: the occupied cells are a prefix of ``cells``. ``_place``
+    claims the first empty cell, and no cell is ever emptied again, since an
+    eviction reuses the victim's cell in place. So a bucket that ``_place``
+    filled is full exactly when its last cell is occupied. The placement
+    step does not test that, though: it reads the bucket's count of empty
+    cells in ``ValueSketch._room``, which ``_new_cell`` keeps, and which is
+    right for any order of claimed cells (the acceptance replay of
+    criterion 2 sets a cell after an empty one by hand).
     """
 
     __slots__ = ("vote_minus", "cells")
@@ -144,8 +157,10 @@ class ValueSketch:
         # and no bucket scan; only a key without a cell needs its bucket.
         self._resident: dict[int, Cell] = {}
         self.buckets: list[Bucket] = [Bucket(cells_per_bucket) for _ in range(buckets)]
-        # Bucket i's vote floor, a lower bound on its cells' votes (see Bucket).
+        # Bucket i's vote floor, a lower bound on its cells' votes, and its
+        # count of empty cells (see Bucket).
         self._floors = [1] * buckets
+        self._room = [cells_per_bucket] * buckets
 
     def bucket_of(self, key: int) -> int:
         h = self._hash_fn
@@ -154,9 +169,10 @@ class ValueSketch:
         return hash_key(key, self.seed) % self._u
 
     def _new_cell(self, key: int, bucket_index: int) -> Cell:
-        # A cell does not depend on its bucket; the caller puts it at bucket_index.
+        # The caller puts the cell into an empty slot of bucket bucket_index.
         cell = Cell(key, 1, PointEstimator(self._r, self._s, self._calibrator))
         self._resident[key] = cell
+        self._room[bucket_index] -= 1
         return cell
 
     def insert(self, key: int, value: Value) -> InsertResult:
@@ -178,13 +194,17 @@ class ValueSketch:
             return matched
         check_value(value)
         as_key(key)
-        return self._place(key, value)
+        return self._place(key, value, self.bucket_of(key))
 
-    def _place(self, key: int, value: Value) -> InsertResult:
-        """Claim a cell for a checked key without one, evict for it, or reject it.
+    def _place(self, key: int, value: Value, bucket_index: int) -> InsertResult:
+        """Claim a cell of bucket bucket_index for a checked key without one, evict for it, or reject it.
 
-        The caller has run ``feed`` (which missed) and checked the value
-        and that key lies in [0, 2^64).
+        The caller has run ``feed`` (which missed), checked the value and
+        that key lies in [0, 2^64), and picked the key's bucket: ``insert``
+        takes ``bucket_of(key)``, and ``PerKeyQuantileSketch.insert`` a digit
+        of the tower's hash where the layout allows it.
+
+        A bucket with an empty cell (``_room``) gives the key its first one.
 
         A full bucket takes one more negative vote. If that vote still falls
         short of the ratio times the bucket's floor (``_floors``), it falls
@@ -200,10 +220,9 @@ class ValueSketch:
         estimator keeps the sketch's calibrator, so its draws continue the
         one stream.
         """
-        bucket_index = self.bucket_of(key)
         bucket = self.buckets[bucket_index]
         cells = bucket.cells
-        if None in cells:
+        if self._room[bucket_index]:
             cell = self._new_cell(key, bucket_index)
             cells[cells.index(None)] = cell
             cell.estimator.insert(value)
@@ -234,7 +253,7 @@ class ValueSketch:
         estimator.candidate.clear()
         estimator.representative.clear()
         estimator.insert(value)
-        return InsertResult(InsertOutcome.EVICTED, evicted_key)
+        return tuple.__new__(InsertResult, (_EVICTED, evicted_key))
 
     def feed(self, key: int, value: Value) -> InsertResult | None:
         """Insert into the key's own cell, if it holds one (a matched insert).

@@ -8,6 +8,7 @@ import pickle
 import random
 import tracemalloc
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
 from operator import length_hint
@@ -17,6 +18,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import pqsketch.tower
+import pqsketch.value_sketch
 from pqsketch import (
     CapacityPlan,
     InsertOutcome,
@@ -26,6 +29,7 @@ from pqsketch import (
     plan_capacity,
 )
 from pqsketch.calibration import BLOCK
+from pqsketch.hashing import hash_key
 from pqsketch.sketch import bucket_bytes
 
 # Values outside the domain; 10**400 is an int too large for a float.
@@ -253,9 +257,9 @@ class TestGate:
         calls = []
         original = sk.values._place
 
-        def spy(key, value):
+        def spy(key, value, bucket_index):
             calls.append((key, sk.tower.query(key)))
-            return original(key, value)
+            return original(key, value, bucket_index)
 
         sk.values._place = spy
         rng = random.Random(1)
@@ -402,13 +406,36 @@ def cell_state(values, key):
     return cell.vote_plus, list(cell.estimator.candidate), list(cell.estimator.representative)
 
 
+def placement_bucket(sketch, key):
+    """The bucket the sketch places key in, computed from hash_key.
+
+    The tower's hash x (64 bits, or 128 on a wide tower) less its three
+    counter digits leaves the quotient q = x // (n0 n1 n2). It picks the
+    bucket, q % u, when it spans at least 2^10 u values, that is when
+    n0 n1 n2 u <= 2^(bits - 10); otherwise the value sketch's own hash does.
+    """
+    n0, n1, n2 = sketch.plan.tower_counters
+    u = sketch.plan.buckets
+    s0, s1 = sketch.tower._step[:2]
+    x, bits = hash_key(key, s0), 64
+    if s1 is not None:
+        x, bits = x | hash_key(key, s1) << 64, 128
+    if n0 * n1 * n2 * u <= 1 << (bits - 10):
+        return x // (n0 * n1 * n2) % u
+    return hash_key(key, sketch.values.seed) % u
+
+
 def gate_first_insert(sketch, key, value):
     """The routing without the resident shortcut: tower first, for every item."""
     tower = sketch.tower
     if tower.query(key) < sketch.gate_threshold:
         tower.insert(key)
         return None
-    return sketch.values.insert(key, value)
+    values = sketch.values
+    matched = values.feed(key, value)
+    if matched is not None:
+        return matched
+    return values._place(key, value, placement_bucket(sketch, key))
 
 
 def sketch_state(sketch):
@@ -467,6 +494,73 @@ class TestResidentFirst:
             opened = now_open
             assert set(reference.tracked_keys()) <= opened
         assert sketch_state(fast) == sketch_state(reference)
+
+
+# One layout per placement regime: the default, where the tower's quotient
+# picks the bucket; a mid-size one (2 MB at the default tower fraction, so
+# n0 n1 n2 <= 2^54 < n0 n1 n2 u), where the value sketch hashes the key; and a
+# wide tower (128-bit digits), whose quotient picks the bucket again.
+REGIMES = {
+    "default": SketchParams(gate_threshold=0),
+    "mid-size": SketchParams(total_memory_bytes=2_000_000, gate_threshold=0),
+    "128-bit": SketchParams(total_memory_bytes=1_000_000, tower_fraction=0.9, gate_threshold=0),
+}
+
+
+def regime_of(sketch):
+    """The placement regime a sketch's layout falls into."""
+    wide = sketch.tower._step[1] is not None
+    if sketch._quotient_buckets is None:
+        assert not wide
+        return "mid-size"
+    assert sketch._quotient_buckets == sketch.plan.buckets
+    return "128-bit" if wide else "default"
+
+
+class TestPlacementRule:
+    """An admitted key's bucket is the tower hash's fourth digit where the layout allows it."""
+
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    def test_placement_follows_the_rule_and_reaches_every_bucket(self, regime):
+        sk = PerKeyQuantileSketch(REGIMES[regime])
+        assert regime_of(sk) == regime
+        u = sk.plan.buckets
+        # 12 u sequential keys leave a given bucket empty with odds e^-12.
+        for key in range(12 * u):
+            sk.insert(key, float(key))
+        for index, bucket in enumerate(sk.values.buckets):
+            assert bucket.cells[0] is not None, f"bucket {index} never reached"
+            for cell in bucket.cells:
+                if cell is not None:
+                    assert placement_bucket(sk, cell.key) == index
+
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    def test_each_item_is_hashed_at_most_once_outside_admit(self, regime, monkeypatch):
+        # hash_key reaches the sketch through these two module globals; admit
+        # mixes inline. Per item without a cell: the default layout calls
+        # neither; a mid-size one calls the value sketch's once per admitted
+        # item; a wide tower calls the tower's once per step, for the high
+        # 64 bits, and the value sketch's never.
+        sk = PerKeyQuantileSketch(replace(REGIMES[regime], gate_threshold=2))
+        calls = {pqsketch.tower: 0, pqsketch.value_sketch: 0}
+        for module in calls:
+            def counting(key, seed, _module=module, _real=module.hash_key):
+                calls[_module] += 1
+                return _real(key, seed)
+
+            monkeypatch.setattr(module, "hash_key", counting)
+        rng = random.Random(7)
+        cells = sk.plan.buckets * sk.params.cells_per_bucket
+        outcomes = [sk.insert(rng.randrange(2 * cells), 1.0) for _ in range(8 * cells)]
+        steps = sum(r is None or r.outcome is not InsertOutcome.MATCHED for r in outcomes)
+        admitted = sum(r is not None and r.outcome is not InsertOutcome.MATCHED for r in outcomes)
+        assert admitted > 0 and any(r is not None and r.outcome is InsertOutcome.REJECTED for r in outcomes)
+        expected = {
+            "default": (0, 0),
+            "mid-size": (0, admitted),
+            "128-bit": (steps, 0),
+        }[regime]
+        assert (calls[pqsketch.tower], calls[pqsketch.value_sketch]) == expected
 
 
 class TestComposedSketch:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,17 @@ from pqsketch.tower import TOP_LIMIT, WIDE_LAYOUT
 # The smallest bytes per array whose layout takes the 128-bit digits: the
 # counters 2b, b and about b/2 multiply to about b^3, past 2^54 once b > 2^18.
 WIDE_BYTES = (1 << 18) + 1
+
+
+def quotient(tower, key):
+    """What admit returns for key once its gate is open: the tower's hash
+    (64 bits, or 128 on a wide layout) above its three counter digits."""
+    n0, n1, n2 = (layer[0] for layer in tower._layers)
+    s0, s1 = tower._step[:2]
+    x = hash_key(key, s0)
+    if s1 is not None:
+        x |= hash_key(key, s1) << 64
+    return x // (n0 * n1 * n2)
 
 
 class TestConstruction:
@@ -156,7 +168,7 @@ class TestAdmit:
             opened = slow.query(k) >= threshold
             if not opened:
                 slow.insert(k)
-            assert fast.admit(k, threshold) == opened
+            assert fast.admit(k, threshold) == (quotient(slow, k) if opened else None)
         assert [layer[2] for layer in fast._layers] == [layer[2] for layer in slow._layers]
 
     def test_saturated_counters_drop_out(self):
@@ -167,11 +179,21 @@ class TestAdmit:
         a0[:] = bytes([l0] * len(a0))
         a1[:] = bytes([l1] * len(a1))
         a2[0] = 1_000
-        assert tower.admit(7, 1_000)
-        assert not tower.admit(7, 1_001)
+        q = quotient(tower, 7)
+        assert tower.admit(7, 1_000) == q
+        assert tower.admit(7, 1_001) is None
         assert (list(a0), list(a1), list(a2)) == ([l0] * len(a0), [l1] * len(a1), [1_001])
         a2[0] = TOP_LIMIT
-        assert tower.admit(7, TOP_LIMIT)
+        assert tower.admit(7, TOP_LIMIT) == q
+
+    def test_a_zero_quotient_is_an_open_gate(self):
+        # At 2 bytes per array n0 n1 n2 = 8, so a key whose hash is below 8
+        # has quotient 0; an open gate must still say so, apart from None.
+        tower = TowerFilter(bytes_per_array=2, seed=0)
+        s0 = tower._step[0]
+        key = (-s0) & (2**64 - 1)  # key + s0 wraps to 0, and hash_key(0, 0) is 0
+        assert quotient(tower, key) == 0
+        assert tower.admit(key, 0) == 0
 
     @settings(max_examples=200)
     @given(
@@ -185,10 +207,33 @@ class TestAdmit:
         # 128-bit digits of a wide layout too, each layer must bump exactly
         # the counter that indices names.
         tower = TowerFilter(bytes_per_array=bytes_per_array, seed=seed)
-        assert not tower.admit(key, 1)
+        assert tower.admit(key, 1) is None
         for idx, (_, _, arr) in zip(tower.indices(key), tower._layers):
             assert arr[idx] == 1
             assert sum(arr) == 1
+        assert tower.admit(key, 1) == quotient(tower, key)
+
+
+class TestKeys:
+    """insert, query and indices follow as_key's rule; admit leaves it to its caller."""
+
+    @pytest.mark.parametrize(
+        "key, error",
+        [(-1, ValueError), (2**64 + 5, ValueError), (5.0, TypeError), (True, TypeError)],
+    )
+    def test_bad_keys_raise_and_count_nothing(self, key, error):
+        tower = TowerFilter(bytes_per_array=64, seed=3)
+        for method in (tower.insert, tower.query, tower.indices):
+            with pytest.raises(error):
+                method(key)
+        assert all(not any(arr) for _, _, arr in tower._layers)
+        # 2^64 + 5 would have shared key 5's counters had it been masked.
+        assert tower.query(5) == 0
+
+    def test_numpy_key_is_its_int(self):
+        tower = TowerFilter(bytes_per_array=64, seed=3)
+        tower.insert(np.uint64(5))
+        assert tower.query(5) == tower.query(np.int64(5)) == 1
 
 
 class TestDeterminism:
@@ -234,6 +279,21 @@ class TestIndices:
         if s1 is not None:
             x |= hash_key(key, s1) << 64
         assert tower.indices(key) == (x % n0, x // n0 % n1, x // (n0 * n1) % n2)
+        # The fourth digit: at threshold 0 admit opens, changes nothing and
+        # hands back the rest of the same hash.
+        assert tower.admit(key, 0) == x // (n0 * n1 * n2)
+        assert all(not any(arr) for _, _, arr in tower._layers)
+
+    @pytest.mark.parametrize("bytes_per_array", [2, 17_066, 1 << 18, WIDE_BYTES])
+    def test_quotient_covers_while_its_bias_stays_under_2_to_the_minus_10(self, bytes_per_array):
+        # The quotient takes 2^bits // (n0 n1 n2) values; it may pick one of
+        # m slots while n0 n1 n2 m <= 2^(bits - 10).
+        tower = TowerFilter(bytes_per_array=bytes_per_array)
+        n0, n1, n2 = (layer[0] for layer in tower._layers)
+        bits = 128 if n0 * n1 * n2 > WIDE_LAYOUT else 64
+        largest = (1 << (bits - 10)) // (n0 * n1 * n2)
+        assert tower.quotient_covers(largest)
+        assert not tower.quotient_covers(largest + 1)
 
     def test_large_layout_reaches_every_counter(self):
         # At 4,000,000 bytes per array (counters 8M/4M/2M) n0 n1 n2 is about

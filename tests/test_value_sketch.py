@@ -14,7 +14,9 @@ from pqsketch import (
     POS_INF,
     Calibrator,
     InsertOutcome,
+    PerKeyQuantileSketch,
     PointEstimator,
+    SketchParams,
     ValueSketch,
     collision_probability,
     rank_error,
@@ -290,9 +292,12 @@ class TestVoteFloor:
             assert (result.outcome, result.evicted_key) == model.insert(key, value)
             assert sketch_state(vs) == model.state()
             assert vs.keys() == list(model.resident)
-            for floor, bucket in zip(vs._floors, vs.buckets):
+            for floor, room, bucket in zip(vs._floors, vs._room, vs.buckets):
                 if None not in bucket.cells:
                     assert floor <= min(c.vote_plus for c in bucket.cells)
+                # The occupied cells are a prefix, and room counts the rest.
+                assert bucket.cells == bucket.cells[: cells - room] + [None] * room
+                assert None not in bucket.cells[: cells - room]
 
 
 class TestResidentIndex:
@@ -535,5 +540,28 @@ class TestCollisionModel:
             for key in range(1000):
                 loads[vs.bucket_of(key + t * 1000)] += 1
             total += sum(1 for load in loads if load > 4) / 500
+        predicted = collision_probability(1000, 500, 4)
+        assert total / trials == pytest.approx(predicted, abs=0.01)
+
+    def test_composed_sketch_overflow_rate_through_the_quotient(self):
+        # The composed sketch takes an admitted key's bucket from the tower
+        # hash's quotient. At T = 0 admit opens for every key, changes nothing
+        # and returns that quotient, so its loads must follow the same model.
+        # At 548,889 bytes with d = 4 the plan buys exactly 500 buckets.
+        trials = 100
+        total = 0.0
+        for t in range(trials):
+            params = SketchParams(total_memory_bytes=548_889, gate_threshold=0, cells_per_bucket=4, seed=t)
+            sk = PerKeyQuantileSketch(params)
+            assert sk.plan.buckets == sk._quotient_buckets == 500
+            loads = [0] * 500
+            for key in range(1000):
+                loads[sk.tower.admit(key + t * 1000, 0) % 500] += 1
+            total += sum(1 for load in loads if load > 4) / 500
+            # Inserting the keys fills exactly the cells those loads predict.
+            placed = sum(
+                sk.insert(key + t * 1000, 1.0).outcome is InsertOutcome.PLACED for key in range(1000)
+            )
+            assert placed == sum(min(load, 4) for load in loads)
         predicted = collision_probability(1000, 500, 4)
         assert total / trials == pytest.approx(predicted, abs=0.01)
