@@ -21,17 +21,16 @@ def hash_key(key: int, seed: int) -> int:
     The mix is written out here rather than called, because this is the
     per-item hash and a call costs as much as a few of its steps. This is the
     reference copy; the one other copy is inlined in ``TowerFilter.admit``,
-    which mixes a key once per gate step (a layout too large for 64-bit
-    digits adds a call here) and takes from that value all three counter
-    indices and the quotient that picks an admitted key's bucket in the
-    composed sketch. tests/test_tower.py pins it: TestIndices checks
-    ``TowerFilter.indices`` and admit's quotient against this function, and
+    which mixes a key once per gate step and takes from that value the three
+    counter indices and, where the layout allows, an admitted key's bucket
+    (admit's docstring holds the placement rule and when it calls this
+    function again). tests/test_tower.py pins it: TestIndices checks
+    ``TowerFilter.indices`` and admit's bucket against this function, and
     TestAdmit checks ``admit`` against ``indices``.
 
     The other callers: ``TowerFilter.indices`` (the reference digits),
-    ``ValueSketch.bucket_of`` (a standalone value sketch's bucket, and the
-    composed sketch's on a mid-size layout, whose quotient is too narrow to
-    pick a bucket; see ``TowerFilter.quotient_covers``) and ``child_seed``.
+    ``ValueSketch.bucket_of`` (a standalone value sketch's bucket) and
+    ``child_seed``.
     """
     x = (key + seed) & _MASK
     x ^= x >> 33

@@ -167,7 +167,9 @@ class PerKeyQuantileSketch:
         self.params = params
         plan = plan_capacity(params)
         self.plan = plan
-        self.tower = TowerFilter(plan.tower_bytes_per_array, seed=child_seed(params.seed, SEED_TOWER))
+        self.tower = TowerFilter(
+            plan.tower_bytes_per_array, seed=child_seed(params.seed, SEED_TOWER), buckets=plan.buckets
+        )
         self.values = ValueSketch(
             plan.buckets,
             params.cells_per_bucket,
@@ -178,9 +180,6 @@ class PerKeyQuantileSketch:
             seed=child_seed(params.seed, SEED_VALUES),
         )
         self.gate_threshold = params.gate_threshold
-        # u when admit's quotient picks the bucket (as q % u), else None, and
-        # the value sketch hashes the key for its bucket (see insert).
-        self._quotient_buckets = plan.buckets if self.tower.quotient_covers(plan.buckets) else None
         # Aliases for the matched step in insert(). The calibrator is kept,
         # never its draws iterator: a copy rebuilds that iterator.
         self._resident = self.values._resident
@@ -198,21 +197,16 @@ class PerKeyQuantileSketch:
         grow and a saturated counter only leaves the min. Every other key
         takes one tower step and, once admitted, goes to the value sketch.
 
-        The matched step (vote, calibration draw, sentinels, push) runs here,
-        in this one frame: it is an inline copy of ``ValueSketch.feed`` and
-        ``PointEstimator.insert``, and ``TestResidentFirst`` checks it against
-        them for both sentinel kinds and the identity.
+        The matched step (vote, calibration draw, sentinels, push) runs on the
+        cell in this one frame: it is an inline copy of ``ValueSketch.insert``'s
+        matched branch and ``PointEstimator.insert``, and ``TestResidentFirst``
+        checks it against them for both sentinel kinds and the identity.
 
         A key that is not exactly an int goes through ``as_key`` before the
         lookup, and a key without a cell is range-checked before the tower, so
         only a checked key can get a cell. An admitted key is checked once:
-        it goes straight to the value sketch's placement step.
-
-        An admitted key's bucket is a fourth digit of the tower's hash, the
-        quotient q that admit returns, taken as q % u, so the key is hashed
-        once. A layout whose quotient spans fewer than 2^10 u values (see
-        ``TowerFilter.quotient_covers``; about 1 MB to 7.9 MB at the default
-        tower fraction) keeps ``ValueSketch.bucket_of``, a second hash.
+        it goes straight to the value sketch's placement step, in the bucket
+        that the tower step returns (``TowerFilter.admit`` holds the rule).
 
         Values follow ``check_value``, whether or not the key is still gated,
         and are checked before anything changes.
@@ -227,9 +221,8 @@ class PerKeyQuantileSketch:
             if type(value) is not float or not isfinite(value):
                 check_value(value)
             cell.vote_plus += 1
-            est = cell.estimator
-            c = est.candidate
-            r = est._r
+            c = cell.candidate
+            r = cell._r
             cal = self._calibrator
             sentinel = cal.sentinel
             if sentinel is not None:
@@ -238,21 +231,19 @@ class PerKeyQuantileSketch:
                     z -= 1
                     c.append(sentinel)
                     if len(c) >= r:
-                        est._flush()
+                        cell._flush()
             c.append(value)
             if len(c) >= r:
-                est._flush()
+                cell._flush()
             return _MATCHED
         if type(value) is not float or not isfinite(value):
             check_value(value)
         if not 0 <= key <= _MASK:
             as_key(key)  # raises the range error
-        q = self.tower.admit(key, self.gate_threshold)
-        if q is None:
+        b = self.tower.admit(key, self.gate_threshold)
+        if b is None:
             return None
-        u = self._quotient_buckets
-        values = self.values
-        return values._place(key, value, q % u if u is not None else values.bucket_of(key))
+        return self.values._place(key, value, b)
 
     def query(self, key: int) -> Value:
         """Quantile estimate for a tracked key, with ValueSketch.query's key rule and errors.
@@ -263,7 +254,7 @@ class PerKeyQuantileSketch:
         if type(key) is int:
             cell = self._resident.get(key)
             if cell is not None:
-                return cell.estimator.query()
+                return cell.query()
         return self.values.query(key)
 
     def tracked_keys(self) -> list[int]:

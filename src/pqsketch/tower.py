@@ -6,10 +6,9 @@ one counter per array; a query takes the minimum over the arrays whose
 counter has not saturated, treating saturated counters as +inf. The
 mixed-radix digits of one hash of the key index the three arrays (see
 TowerFilter.indices): a 64-bit hash, or for layouts too large for 64 bits to
-reach every counter, a 128-bit one built from two. What is left of the hash
-above the three digits, the quotient, is handed to the caller of admit, which
-may take a fourth digit from it (the composed sketch's bucket; see
-TowerFilter.quotient_covers). Estimates are one sided:
+reach every counter, a 128-bit one built from two. A tower built with the
+composed sketch's bucket count also names an admitted key's bucket; the rule
+for that lives in TowerFilter.admit. Estimates are one sided:
 collisions only ever add, so the reported count is always >= the key's true
 insertion count while the widest array still has headroom, however the
 indices are drawn.
@@ -55,11 +54,14 @@ class TowerFilter:
     :param bytes_per_array: bytes given to each array; see layer_counters.
     :param seed: an int (not a bool); the tower's hash seeds derive from it,
         and every array's index is a digit of that one hash.
+    :param buckets: u, how many buckets admit picks from for an admitted
+        key (see admit); a standalone tower keeps 1, and admit answers 0.
     """
 
-    def __init__(self, bytes_per_array: int, seed: int = 0) -> None:
+    def __init__(self, bytes_per_array: int, seed: int = 0, buckets: int = 1) -> None:
         check_count("bytes_per_array", bytes_per_array)
         check_seed(seed)
+        check_count("bucket count", buckets)
         n0, n1, n2 = layer_counters(bytes_per_array)
         # One byte holds a 4- or 8-bit counter, two bytes a 16-bit one. A
         # bytearray indexes faster than array('B'), and admit indexes per item.
@@ -69,25 +71,15 @@ class TowerFilter:
         ]
         # Everything one step reads, flat, so each method takes it in one
         # unpack: the seed, the second seed (None unless the layout needs the
-        # 128-bit hash), and the counts, limits and arrays of _layers.
+        # 128-bit hash), the counts, limits and arrays of _layers, the bucket
+        # count, and the seed of the bucket's own hash (None while the
+        # quotient picks the bucket; see admit).
         (_, l0, a0), (_, l1, a1), (_, _, a2) = self._layers
         wide = n0 * n1 * n2 > WIDE_LAYOUT
         wide_seed = child_seed(seed, 1) if wide else None
-        self._step = (child_seed(seed, 0), wide_seed, n0, l0, a0, n1, l1, a1, n2, a2)
-        # How many values admit's quotient x // (n0 * n1 * n2) takes.
-        self._quotients = (1 << (128 if wide else 64)) // (n0 * n1 * n2)
-
-    def quotient_covers(self, slots: int) -> bool:
-        """Whether admit's quotient q may pick one of slots, as q % slots.
-
-        q = x // (n0 * n1 * n2) is the hash above the three digits, so for a
-        uniform x it is independent of them. It takes 2^bits // (n0 * n1 * n2)
-        values (bits is 64, or 128 past WIDE_LAYOUT), and q % slots is uniform
-        up to a relative bias of slots over that count. Like the digits, it
-        serves only while that bias stays under 2^-10, that is while
-        n0 * n1 * n2 * slots <= 2^(bits - 10).
-        """
-        return self._quotients >> BIAS_BITS >= slots
+        quotients = (1 << (128 if wide else 64)) // (n0 * n1 * n2)
+        rehash_seed = None if quotients >> BIAS_BITS >= buckets else child_seed(seed, 1)
+        self._step = (child_seed(seed, 0), wide_seed, n0, l0, a0, n1, l1, a1, n2, a2, buckets, rehash_seed)
 
     def indices(self, key: int) -> tuple[int, int, int]:
         """The counter key bumps in each array: the mixed-radix digits of one hash.
@@ -107,7 +99,7 @@ class TowerFilter:
         them too.
         """
         key = as_key(key)
-        s0, s1, n0, _, _, n1, _, _, n2, _ = self._step
+        s0, s1, n0, _, _, n1, _, _, n2 = self._step[:9]
         x = hash_key(key, s0)
         if s1 is not None:
             x |= hash_key(key, s1) << 64
@@ -120,20 +112,33 @@ class TowerFilter:
                 arr[idx] += 1
 
     def admit(self, key: int, threshold: int) -> int | None:
-        """One gate step: the hash's quotient if key's estimate has reached threshold.
+        """One gate step: key's bucket if its estimate has reached threshold, else None.
 
-        The quotient is x // (n0 * n1 * n2), the rest of the hash above the
-        three counter digits (see indices and quotient_covers). It may be 0,
-        so callers test the answer with ``is None``. Otherwise key pays its
-        fee (its unsaturated counters are bumped) and the answer is None.
+        Below threshold key pays its fee (its unsaturated counters are bumped).
         Same as query(key) >= threshold followed, when that fails, by
-        insert(key), but hashing key once.
+        insert(key), but hashing key once. Bucket 0 is an open gate, so
+        callers test the answer with ``is None``.
+
+        The placement rule lives here alone. The bucket is one of the tower's
+        u; a standalone tower has u = 1 and answers 0. The quotient
+        q = x // (n0 * n1 * n2), the hash above the three counter digits,
+        takes 2^bits // (n0 * n1 * n2) values, so q % u has a relative bias of
+        u over that count. The byte ranges are those of the default sketch:
+
+        - Up to 983,069 bytes (the default 500 KB among them),
+          n0 * n1 * n2 * u <= 2^54 keeps that bias under 2^-10, like the
+          digits', and the bucket is q % u: one mix per item.
+        - From 983,070 to 7,864,349 bytes, n0 * n1 * n2 <= 2^54 < n0 * n1 * n2 * u:
+          q is too narrow, and an open gate mixes once more, as
+          hash_key(key, child_seed(seed, 1)) % u.
+        - From 7,864,350 bytes, x has 128 bits (see indices) and the bucket
+          is q % u again: two mixes per item, and no third.
 
         This is the per-item gate step, so hash_key's mix and the digits of
         indices are written out here instead of called; TestAdmit pins them.
         The key is not checked here: the caller has applied ``as_key``'s rule.
         """
-        s0, s1, n0, l0, a0, n1, l1, a1, n2, a2 = self._step
+        s0, s1, n0, l0, a0, n1, l1, a1, n2, a2, buckets, rehash_seed = self._step
         x = (key + s0) & _MASK
         x ^= x >> 33
         x = (x * _MIX1) & _MASK
@@ -158,7 +163,9 @@ class TowerFilter:
         if c0 < l0 and c0 < estimate:
             estimate = c0
         if estimate >= threshold:
-            return x // n2
+            if rehash_seed is None:
+                return x // n2 % buckets
+            return hash_key(key, rehash_seed) % buckets
         if c0 < l0:
             a0[i0] = c0 + 1
         if c1 < l1:

@@ -1,7 +1,7 @@
 """Hashed buckets of per-key estimators with vote-based eviction.
 
-Keys hash to one bucket of d cells; each occupied cell owns a point estimator
-for one key. A matching insert feeds that estimator and strengthens the cell's
+Keys hash to one bucket of d cells; each occupied cell is the point estimator
+of one key. A matching insert feeds that estimator and strengthens the cell's
 vote. When a key finds its bucket full, the bucket accrues a shared negative
 vote, and the weakest resident (smallest positive vote, lowest index on ties)
 is evicted only once the bucket's negative vote reaches a configurable
@@ -68,22 +68,30 @@ def as_ratio(value) -> Fraction:
     return ratio
 
 
-class Cell:
-    __slots__ = ("key", "vote_plus", "estimator")
+class Cell(PointEstimator):
+    """A key's cell: the key's estimator itself, plus the key and its positive vote."""
 
-    def __init__(self, key: int, vote_plus: int, estimator: PointEstimator) -> None:
+    __slots__ = ("key", "vote_plus")
+
+    def __init__(self, key: int, vote_plus: int, r: int, s: int, calibrator: Calibrator) -> None:
+        super().__init__(r, s, calibrator)
         self.key = key
         self.vote_plus = vote_plus
-        self.estimator = estimator
+
+    @property
+    def estimator(self) -> Cell:
+        """The cell itself. Criterion 2 of tests/test_acceptance.py, which stays
+        unchanged, reads ``cell.estimator.candidate``."""
+        return self
 
 
 class Bucket:
     """d cell slots and their shared negative vote.
 
     The bucket's vote floor lives in ``ValueSketch._floors``, not in a slot
-    here. A third slot moves a Bucket into the allocator size class of
-    cells and lists, and that alone cost about 3% of insert and query
-    throughput on the zipf-p50 benchmark workload.
+    here. A third slot takes a Bucket from 48 to 56 bytes, the size of the
+    cells' buffer lists; when cells were 56 bytes too (they are 88 now), that
+    alone cost about 3% of insert and query throughput on zipf-p50.
 
     Invariant: the floor is <= the smallest ``vote_plus`` among the cells.
     It starts at 1, the vote of a new cell, and votes only grow, so the
@@ -109,7 +117,7 @@ class Bucket:
 
 
 class ValueSketch:
-    """u buckets of d cells, each cell a (key, vote, estimator) slot.
+    """u buckets of d cells, each cell a key, its vote and its estimator in one object.
 
     :param buckets: u, number of hash buckets.
     :param cells_per_bucket: d, key slots per bucket.
@@ -170,7 +178,7 @@ class ValueSketch:
 
     def _new_cell(self, key: int, bucket_index: int) -> Cell:
         # The caller puts the cell into an empty slot of bucket bucket_index.
-        cell = Cell(key, 1, PointEstimator(self._r, self._s, self._calibrator))
+        cell = Cell(key, 1, self._r, self._s, self._calibrator)
         self._resident[key] = cell
         self._room[bucket_index] -= 1
         return cell
@@ -186,12 +194,19 @@ class ValueSketch:
 
         Keys go through ``as_key``: a non-int one before the lookup, any before the hash.
         Values go through ``check_value``.
+
+        The matched branch is the reference copy of the matched step.
+        ``PerKeyQuantileSketch.insert`` runs an inline copy of it (and of
+        ``PointEstimator.insert``), which ``tests/test_sketch.py::TestResidentFirst``
+        checks against this one.
         """
         if type(key) is not int:
             key = as_key(key)
-        matched = self.feed(key, value)
-        if matched is not None:
-            return matched
+        cell = self._resident.get(key)
+        if cell is not None:
+            cell.insert(value)
+            cell.vote_plus += 1
+            return _MATCHED
         check_value(value)
         as_key(key)
         return self._place(key, value, self.bucket_of(key))
@@ -199,10 +214,10 @@ class ValueSketch:
     def _place(self, key: int, value: Value, bucket_index: int) -> InsertResult:
         """Claim a cell of bucket bucket_index for a checked key without one, evict for it, or reject it.
 
-        The caller has run ``feed`` (which missed), checked the value and
-        that key lies in [0, 2^64), and picked the key's bucket: ``insert``
-        takes ``bucket_of(key)``, and ``PerKeyQuantileSketch.insert`` a digit
-        of the tower's hash where the layout allows it.
+        The caller has found that the key holds no cell, checked the value
+        and that key lies in [0, 2^64), and picked the key's bucket:
+        ``insert`` takes ``bucket_of(key)``, and ``PerKeyQuantileSketch.insert``
+        the bucket that the tower's ``admit`` returns.
 
         A bucket with an empty cell (``_room``) gives the key its first one.
 
@@ -215,17 +230,16 @@ class ValueSketch:
         This is the one place that replaces a cell, so it is the one place
         that must keep each floor <= the smallest vote in its bucket.
 
-        An eviction reuses the victim's cell and estimator in place: the key
-        changes, the vote restarts at 1 and both buffers are emptied. The
-        estimator keeps the sketch's calibrator, so its draws continue the
-        one stream.
+        An eviction reuses the victim's cell in place: the key changes, the
+        vote restarts at 1 and both buffers are emptied. The cell keeps the
+        sketch's calibrator, so its draws continue the one stream.
         """
         bucket = self.buckets[bucket_index]
         cells = bucket.cells
         if self._room[bucket_index]:
             cell = self._new_cell(key, bucket_index)
             cells[cells.index(None)] = cell
-            cell.estimator.insert(value)
+            cell.insert(value)
             return _PLACED
         vote_minus = bucket.vote_minus + 1
         bucket.vote_minus = vote_minus
@@ -249,27 +263,10 @@ class ValueSketch:
         victim.vote_plus = 1
         bucket.vote_minus = 0
         floors[bucket_index] = 1
-        estimator = victim.estimator
-        estimator.candidate.clear()
-        estimator.representative.clear()
-        estimator.insert(value)
+        victim.candidate.clear()
+        victim.representative.clear()
+        victim.insert(value)
         return tuple.__new__(InsertResult, (_EVICTED, evicted_key))
-
-    def feed(self, key: int, value: Value) -> InsertResult | None:
-        """Insert into the key's own cell, if it holds one (a matched insert).
-
-        This is the reference copy of the matched step. ``PerKeyQuantileSketch.insert``
-        runs an inline copy of it (and of ``PointEstimator.insert``), which
-        ``tests/test_sketch.py::TestResidentFirst`` checks against this one.
-
-        :returns: None when the key holds no cell; then no cell or vote changed.
-        """
-        cell = self._resident.get(key)
-        if cell is None:
-            return None
-        cell.estimator.insert(value)
-        cell.vote_plus += 1
-        return _MATCHED
 
     def query(self, key: int) -> Value:
         """Quantile estimate for a tracked key.
@@ -287,7 +284,7 @@ class ValueSketch:
         if cell is None:
             as_key(key)  # raises the range error
             raise KeyError(f"key {key!r} not tracked")
-        return cell.estimator.query()
+        return cell.query()
 
     def keys(self) -> list[int]:
         """Keys of all occupied cells, in the order they claimed their cells."""

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqsketch import TowerFilter
-from pqsketch.hashing import hash_key
+from pqsketch.hashing import child_seed, hash_key
 from pqsketch.tower import TOP_LIMIT, WIDE_LAYOUT
 
 # The smallest bytes per array whose layout takes the 128-bit digits: the
@@ -18,15 +18,24 @@ from pqsketch.tower import TOP_LIMIT, WIDE_LAYOUT
 WIDE_BYTES = (1 << 18) + 1
 
 
-def quotient(tower, key):
-    """What admit returns for key once its gate is open: the tower's hash
-    (64 bits, or 128 on a wide layout) above its three counter digits."""
+def bucket(tower, key):
+    """What admit returns for key once its gate is open, computed from hash_key.
+
+    The tower's hash x (64 bits, or 128 on a wide layout) less its three
+    counter digits leaves the quotient q = x // (n0 n1 n2). Of the tower's u
+    buckets it picks q % u while n0 n1 n2 u <= 2^(bits - 10); past that the
+    bucket comes from one more hash, under the tower's second child seed."""
     n0, n1, n2 = (layer[0] for layer in tower._layers)
     s0, s1 = tower._step[:2]
-    x = hash_key(key, s0)
+    u, rehash_seed = tower._step[-2:]
+    x, bits = hash_key(key, s0), 64
     if s1 is not None:
-        x |= hash_key(key, s1) << 64
-    return x // (n0 * n1 * n2)
+        x, bits = x | hash_key(key, s1) << 64, 128
+    digit = n0 * n1 * n2 * u <= 1 << (bits - 10)
+    assert (rehash_seed is None) == digit
+    if digit:
+        return x // (n0 * n1 * n2) % u
+    return hash_key(key, rehash_seed) % u
 
 
 class TestConstruction:
@@ -168,7 +177,7 @@ class TestAdmit:
             opened = slow.query(k) >= threshold
             if not opened:
                 slow.insert(k)
-            assert fast.admit(k, threshold) == (quotient(slow, k) if opened else None)
+            assert fast.admit(k, threshold) == (bucket(slow, k) if opened else None)
         assert [layer[2] for layer in fast._layers] == [layer[2] for layer in slow._layers]
 
     def test_saturated_counters_drop_out(self):
@@ -179,20 +188,24 @@ class TestAdmit:
         a0[:] = bytes([l0] * len(a0))
         a1[:] = bytes([l1] * len(a1))
         a2[0] = 1_000
-        q = quotient(tower, 7)
-        assert tower.admit(7, 1_000) == q
+        assert tower.admit(7, 1_000) == 0
         assert tower.admit(7, 1_001) is None
         assert (list(a0), list(a1), list(a2)) == ([l0] * len(a0), [l1] * len(a1), [1_001])
         a2[0] = TOP_LIMIT
-        assert tower.admit(7, TOP_LIMIT) == q
+        assert tower.admit(7, TOP_LIMIT) == 0
 
     def test_a_zero_quotient_is_an_open_gate(self):
-        # At 2 bytes per array n0 n1 n2 = 8, so a key whose hash is below 8
-        # has quotient 0; an open gate must still say so, apart from None.
-        tower = TowerFilter(bytes_per_array=2, seed=0)
+        # Bucket 0 is an open gate and must stay apart from None. A standalone
+        # tower (one bucket) answers 0 for every open gate; with 500 buckets,
+        # at 2 bytes per array (n0 n1 n2 = 8), a key whose hash is below 8 has
+        # quotient 0 and so bucket 0.
+        standalone = TowerFilter(bytes_per_array=2, seed=0)
+        assert standalone.admit(5, 1) is None
+        assert standalone.admit(5, 1) == 0
+        tower = TowerFilter(bytes_per_array=2, seed=0, buckets=500)
         s0 = tower._step[0]
         key = (-s0) & (2**64 - 1)  # key + s0 wraps to 0, and hash_key(0, 0) is 0
-        assert quotient(tower, key) == 0
+        assert bucket(tower, key) == 0
         assert tower.admit(key, 0) == 0
 
     @settings(max_examples=200)
@@ -200,18 +213,20 @@ class TestAdmit:
         key=st.integers(0, 2**64 - 1),
         seed=st.integers(0, 2**64 - 1),
         bytes_per_array=st.sampled_from([997, WIDE_BYTES]),
+        buckets=st.sampled_from([1, 1_000, 1 << 50]),
     )
-    def test_inline_mix_is_hash_key(self, key, seed, bytes_per_array):
+    def test_inline_mix_is_hash_key(self, key, seed, bytes_per_array, buckets):
         # admit writes hash_key's mix and the digits of indices out inline;
         # over the whole key and seed range (key + seed wraps), and for the
         # 128-bit digits of a wide layout too, each layer must bump exactly
-        # the counter that indices names.
-        tower = TowerFilter(bytes_per_array=bytes_per_array, seed=seed)
+        # the counter that indices names. 2^50 buckets at 997 bytes per array
+        # are past what the quotient covers, so the bucket is a second hash.
+        tower = TowerFilter(bytes_per_array=bytes_per_array, seed=seed, buckets=buckets)
         assert tower.admit(key, 1) is None
         for idx, (_, _, arr) in zip(tower.indices(key), tower._layers):
             assert arr[idx] == 1
             assert sum(arr) == 1
-        assert tower.admit(key, 1) == quotient(tower, key)
+        assert tower.admit(key, 1) == bucket(tower, key)
 
 
 class TestKeys:
@@ -268,9 +283,10 @@ class TestIndices:
         key=st.integers(0, 2**64 - 1),
         seed=st.integers(0, 2**64 - 1),
         bytes_per_array=st.sampled_from([2, 997, 17_066, WIDE_BYTES]),
+        buckets=st.integers(1, 10_000),
     )
-    def test_indices_are_digits_of_one_hash(self, key, seed, bytes_per_array):
-        tower = TowerFilter(bytes_per_array=bytes_per_array, seed=seed)
+    def test_indices_are_digits_of_one_hash(self, key, seed, bytes_per_array, buckets):
+        tower = TowerFilter(bytes_per_array=bytes_per_array, seed=seed, buckets=buckets)
         n0, n1, n2 = (layer[0] for layer in tower._layers)
         s0, s1 = tower._step[:2]
         x = hash_key(key, s0)
@@ -279,21 +295,32 @@ class TestIndices:
         if s1 is not None:
             x |= hash_key(key, s1) << 64
         assert tower.indices(key) == (x % n0, x // n0 % n1, x // (n0 * n1) % n2)
-        # The fourth digit: at threshold 0 admit opens, changes nothing and
-        # hands back the rest of the same hash.
-        assert tower.admit(key, 0) == x // (n0 * n1 * n2)
+        # The bucket: at threshold 0 admit opens, changes nothing and hands
+        # back the fourth digit of the same hash, or a second hash where more
+        # than 2^54 / (n0 n1 n2) buckets (about 3,600 at 17,066 bytes) make
+        # the quotient too narrow.
+        assert tower.admit(key, 0) == bucket(tower, key)
         assert all(not any(arr) for _, _, arr in tower._layers)
 
     @pytest.mark.parametrize("bytes_per_array", [2, 17_066, 1 << 18, WIDE_BYTES])
-    def test_quotient_covers_while_its_bias_stays_under_2_to_the_minus_10(self, bytes_per_array):
+    def test_bucket_digit_while_its_bias_stays_under_2_to_the_minus_10(self, bytes_per_array):
         # The quotient takes 2^bits // (n0 n1 n2) values; it may pick one of
-        # m slots while n0 n1 n2 m <= 2^(bits - 10).
-        tower = TowerFilter(bytes_per_array=bytes_per_array)
-        n0, n1, n2 = (layer[0] for layer in tower._layers)
+        # u buckets while n0 n1 n2 u <= 2^(bits - 10). One bucket more, and
+        # the bucket is hash_key under the tower's second child seed.
+        seed = 4
+        probe = TowerFilter(bytes_per_array=bytes_per_array, seed=seed)
+        n0, n1, n2 = (layer[0] for layer in probe._layers)
+        s0, s1 = probe._step[:2]
         bits = 128 if n0 * n1 * n2 > WIDE_LAYOUT else 64
         largest = (1 << (bits - 10)) // (n0 * n1 * n2)
-        assert tower.quotient_covers(largest)
-        assert not tower.quotient_covers(largest + 1)
+        digit = TowerFilter(bytes_per_array=bytes_per_array, seed=seed, buckets=largest)
+        rehash = TowerFilter(bytes_per_array=bytes_per_array, seed=seed, buckets=largest + 1)
+        for key in range(200):
+            x = hash_key(key, s0)
+            if s1 is not None:
+                x |= hash_key(key, s1) << 64
+            assert digit.admit(key, 0) == x // (n0 * n1 * n2) % largest
+            assert rehash.admit(key, 0) == hash_key(key, child_seed(seed, 1)) % (largest + 1)
 
     def test_large_layout_reaches_every_counter(self):
         # At 4,000,000 bytes per array (counters 8M/4M/2M) n0 n1 n2 is about

@@ -346,17 +346,18 @@ class TestResidentIndex:
                 else:
                     with pytest.raises(KeyError, match="not tracked"):
                         vs.query(probe)
-        held = scan()
-        for probe in probes:
+        # A resident key's insert is matched in its own cell; any other key's
+        # is not, and the index still tracks whatever cells it takes.
+        for probe in range(self.KEYS):
+            held = scan()
             cell = held.get(probe)
-            if cell is None:
-                assert vs.feed(probe, 1.0) is None
-            else:
-                votes = cell.vote_plus
-                assert vs.feed(probe, 1.0).outcome is InsertOutcome.MATCHED
+            votes = None if cell is None else cell.vote_plus
+            outcome = vs.insert(probe, 1.0).outcome
+            assert (outcome is InsertOutcome.MATCHED) == (cell is not None)
+            if cell is not None:
                 assert cell.vote_plus == votes + 1
-        assert scan() == held
-        assert vs._resident == held
+                assert scan() == held
+            assert vs._resident == scan()
 
 
 class TestKeys:
@@ -546,17 +547,17 @@ class TestCollisionModel:
     def test_composed_sketch_overflow_rate_through_the_quotient(self):
         # The composed sketch takes an admitted key's bucket from the tower
         # hash's quotient. At T = 0 admit opens for every key, changes nothing
-        # and returns that quotient, so its loads must follow the same model.
+        # and returns the quotient's digit, so its loads must follow the same model.
         # At 548,889 bytes with d = 4 the plan buys exactly 500 buckets.
         trials = 100
         total = 0.0
         for t in range(trials):
             params = SketchParams(total_memory_bytes=548_889, gate_threshold=0, cells_per_bucket=4, seed=t)
             sk = PerKeyQuantileSketch(params)
-            assert sk.plan.buckets == sk._quotient_buckets == 500
+            assert sk.plan.buckets == 500 and sk.tower._step[-2:] == (500, None)
             loads = [0] * 500
             for key in range(1000):
-                loads[sk.tower.admit(key + t * 1000, 0) % 500] += 1
+                loads[sk.tower.admit(key + t * 1000, 0)] += 1
             total += sum(1 for load in loads if load > 4) / 500
             # Inserting the keys fills exactly the cells those loads predict.
             placed = sum(
