@@ -108,9 +108,11 @@ class PointEstimator:
 
         If that median is a calibration sentinel, the nearest finite neighbor
         in sorted order is returned instead (scanning toward larger values
-        from -inf, smaller from +inf). With no usable representative the
-        candidate's finite values answer, so a short stream still gets its
-        exact median back.
+        from -inf, smaller from +inf). A representative with no finite value
+        leaves the answer to the candidate's n finite values: their
+        w-quantile, at sorted index ceil(w (n - 1) - 1/2), which rounds half
+        down, so w = 0.5 gives the lower median and a short stream still gets
+        its exact quantile back.
 
         :raises ValueError: "insufficient data" while both buffers are empty
             (before any insert); "degenerate estimate" if only sentinels remain,
@@ -133,7 +135,7 @@ class PointEstimator:
         finite = [x for x in self.candidate if math.isfinite(x)]
         if finite:
             finite.sort()
-            return finite[(len(finite) - 1) >> 1]
+            return finite[math.ceil(self._calibrator.w * (len(finite) - 1) - 0.5)]
         if not (rep or self.candidate):
             raise ValueError("insufficient data: no finite values inserted")
         raise ValueError("degenerate estimate: only sentinels retained")

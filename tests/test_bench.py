@@ -344,3 +344,29 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(out.read_text())["config"]["seed"] == 1
+
+
+class TestTailAccuracy:
+    """Per-key error at high quantiles on the default synthetic stream.
+
+    A key whose representative holds no finite value is answered from its
+    candidate's finite values. Answering with their lower median at any w
+    biased every such answer toward the middle: the mean per-key ae over
+    stream and sketch seeds 1 and 2 read 0.0803 at w = 0.9 and 0.0841 at
+    w = 0.99. Their w-quantile brings it to 0.0713 and 0.0741. The bound
+    sits between the two.
+    """
+
+    BOUND = 0.077
+
+    @pytest.fixture(scope="class")
+    def streams(self):
+        return [generate(StreamSpec(seed=seed)) for seed in (1, 2)]
+
+    @pytest.mark.parametrize("w", [0.9, 0.99])
+    def test_mean_per_key_error_stays_under_the_bound(self, streams, w):
+        errors = [
+            run_benchmark(stream, SketchParams(quantile=w, seed=seed), repeat=1).ae
+            for seed, stream in zip((1, 2), streams)
+        ]
+        assert sum(errors) / len(errors) <= self.BOUND, errors

@@ -177,6 +177,16 @@ class TestQuery:
         e.candidate.append(7.0)
         assert e.query() == 7.0
 
+    def test_candidate_answers_its_w_quantile(self):
+        # With no finite value in the representative, the n finite candidates
+        # answer at sorted index ceil(w (n - 1) - 1/2): half rounds down, so
+        # w = 0.75 over three values takes index 1 (round() would take 2).
+        for w, expected in ((0.5, 2.0), (0.75, 2.0), (0.9, 3.0), (0.99, 3.0), (0.1, 1.0)):
+            e = PointEstimator(8, 4, Calibrator(w, seed=1))
+            e.representative.extend([POS_INF, POS_INF])
+            e.candidate.extend([3.0, POS_INF, 1.0, 2.0])
+            assert e.query() == expected, w
+
     def test_degenerate_when_only_sentinels_survive(self):
         e = PointEstimator(candidate_capacity=4, representative_capacity=4)
         e.representative.extend([POS_INF, POS_INF])
