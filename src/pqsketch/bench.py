@@ -6,10 +6,8 @@ timing (throughput means over repeated phases). Timing fields are the only
 nondeterministic ones; two runs with identical flags and seed agree byte for
 byte everywhere else.
 
-Accuracy is judged against the stream itself: its values sorted per key,
-built once from the stream's arrays after the timed phases, so throughput
-numbers reflect the sketch alone. Each estimate is scored by
-``quantiles.rank_error``.
+Accuracy is judged against the stream's own values (``_reference``), after
+the timed phases, and each estimate is scored by ``quantiles.rank_error``.
 """
 from __future__ import annotations
 
@@ -97,11 +95,7 @@ class _SingleKeySink:
 
 
 def _timed_inserts(stream: Stream, insert) -> float:
-    """Seconds spent feeding the whole stream to insert.
-
-    Only the feeding loop is timed; chunk materialization happens between
-    timed sections.
-    """
+    """Seconds spent feeding the stream to insert; chunks are built between timed sections."""
     elapsed = 0.0
     for keys, values in stream.chunks():
         t0 = perf_counter()
@@ -151,9 +145,7 @@ def run_benchmark(
     check_count("repeat", repeat)
     if f_eval is None:
         f_eval = params.gate_threshold
-    elif isinstance(f_eval, bool) or not isinstance(f_eval, int) or f_eval < 0:
-        raise ValueError(f"f_eval must be a nonnegative integer, got {f_eval!r}")
-    w = params.quantile
+    check_count("f_eval", f_eval, nonnegative=True)
     make_sink = _SingleKeySink if single_key else PerKeyQuantileSketch
 
     insert_seconds: list[float] = []
@@ -177,7 +169,6 @@ def run_benchmark(
     evaluated = [k for k in tracked if k in eligible]
     rows: list[dict] = []
     unanswered: list[int] = []
-    total_error = 0.0
     for k in tracked:
         try:
             estimate = query(k)
@@ -188,8 +179,7 @@ def run_benchmark(
             continue
         start, stop = eligible[k]
         ordered = ordered_values[start:stop].tolist()
-        rank, err = rank_error(ordered, estimate, w)
-        total_error += err
+        rank, err = rank_error(ordered, estimate, params.quantile)
         rows.append(
             {
                 "key": int(k),
@@ -199,7 +189,7 @@ def run_benchmark(
                 "abs_error": err,
             }
         )
-    ae = total_error / len(rows) if rows else None
+    ae = sum(row["abs_error"] for row in rows) / len(rows) if rows else None
     coverage = (len(evaluated) / len(eligible)) if eligible else 1.0
 
     return StreamReport(

@@ -13,10 +13,11 @@ In expectation each value emits |2w - 1| sentinels, and the finite fraction of
 the expanded stream converges to p, so the expansion never more than doubles
 stream length. p stays in [1/2, 1] across all w in [0, 1].
 
-Draws come in blocks of BLOCK from numpy's default generator, each
-``max(1, ceil(log1p(-U) / log1p(-p)))`` over its uniforms U. A block is
-``bytes``, one byte per draw: p >= 1/2 and U has 53 bits, so 1 - U >= 2^-53,
-the ratio is at most 53 ln 2 / ln 2 = 53 and Z <= 54.
+Draws come in blocks of BLOCK from numpy's default generator: the inverse
+CDF ``max(1, ceil(log1p(-U) / log1p(-p)))`` over uniforms U on [0, 1), where
+the clamp catches U = 0. A block is ``bytes``, one byte per draw: p >= 1/2
+and U has 53 bits, so 1 - U >= 2^-53, the ratio is at most 53 and Z <= 54.
+At p = 1 nothing is drawn: an identity calibrator holds no generator.
 """
 from __future__ import annotations
 
@@ -56,9 +57,7 @@ class Calibrator:
             self.sentinel = NEG_INF
         else:
             self.sentinel = None
-        # Only p < 1 ever draws; an identity calibrator holds no generator
-        # and its draws are all 1, so one instance (IDENTITY) serves every
-        # user. A draw divides by ln(1 - p), so that is stored rather than p.
+        # A draw divides by ln(1 - p), so that is stored rather than p.
         self._seed = seed
         self._rng: np.random.Generator | None = None
         p = self.p
@@ -96,13 +95,7 @@ class Calibrator:
         return it
 
     def sample_geometric(self) -> int:
-        """One draw Z >= 1 with P(Z = z) = (1 - p)^(z-1) * p.
-
-        The next of ``draws``: inverse-CDF, ceil(ln(1 - U) / ln(1 - p)) with
-        U from numpy's default generator on [0, 1), clamped to >= 1 (U = 0
-        maps to 0). p = 1 draws nothing: identity calibrators hold no
-        generator and always give 1.
-        """
+        """The next of ``draws``: one Z >= 1 with P(Z = z) = (1 - p)^(z-1) * p."""
         return next(self.draws)
 
     def calibrate(self, value: Value) -> list[Value]:

@@ -3,8 +3,7 @@
 Two subcommands: `bench` runs a stream (CSV file or synthetic spec) through
 the sketch and emits a JSON report; `generate` materializes a synthetic spec
 to a CSV file so the same stream can be replayed from disk. One --seed drives
-every random choice (hashes, calibration, data generation), so repeating a
-command reproduces everything except wall-clock timings.
+every random choice.
 """
 from __future__ import annotations
 

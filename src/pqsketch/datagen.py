@@ -14,6 +14,7 @@ starting with "#" are ignored.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from typing import Iterator, Union
@@ -24,6 +25,23 @@ from .hashing import as_key
 from .quantiles import check_count
 
 
+def _check_params(dist, *names: str, positive: bool = True) -> None:
+    """The one rule for a distribution's parameters: each a finite real number,
+    not a bool, and positive unless ``positive`` is False. Each is stored as a
+    float, the type ``parse_stream_spec`` reads, so ``spec_text`` round-trips.
+    """
+    for name in names:
+        value = getattr(dist, name)
+        try:
+            x = math.nan if isinstance(value, bool) or not isinstance(value, numbers.Real) else float(value)
+        except OverflowError:  # an int or a Fraction too large for a float
+            x = math.nan
+        if not math.isfinite(x) or (positive and x <= 0):
+            kind = "positive and finite" if positive else "a finite real number"
+            raise ValueError(f"{type(dist).__name__} {name} must be {kind}, got {value!r}")
+        object.__setattr__(dist, name, x)
+
+
 @dataclass(frozen=True)
 class ZipfKeys:
     """Keys 1..n_keys with probability proportional to 1 / rank^alpha."""
@@ -31,8 +49,7 @@ class ZipfKeys:
     alpha: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.alpha, (int, float)) and math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"zipf alpha must be positive and finite, got {self.alpha!r}")
+        _check_params(self, "alpha")
 
     def spec_text(self) -> str:
         return f"zipf({self.alpha})"
@@ -50,10 +67,7 @@ class ParetoValues:
     x_min: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"pareto alpha must be positive and finite, got {self.alpha!r}")
-        if not (math.isfinite(self.x_min) and self.x_min > 0):
-            raise ValueError(f"pareto x_min must be positive and finite, got {self.x_min!r}")
+        _check_params(self, "alpha", "x_min")
 
     def spec_text(self) -> str:
         return f"pareto({self.alpha},{self.x_min})"
@@ -64,8 +78,7 @@ class ExponentialValues:
     rate: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.rate) and self.rate > 0):
-            raise ValueError(f"exponential rate must be positive and finite, got {self.rate!r}")
+        _check_params(self, "rate")
 
     def spec_text(self) -> str:
         return f"exponential({self.rate})"
@@ -77,8 +90,9 @@ class UniformValues:
     hi: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo <= self.hi):
-            raise ValueError(f"uniform bounds must be finite with lo <= hi, got ({self.lo!r}, {self.hi!r})")
+        _check_params(self, "lo", "hi", positive=False)
+        if self.lo > self.hi:
+            raise ValueError(f"uniform bounds must satisfy lo <= hi, got ({self.lo!r}, {self.hi!r})")
 
     def spec_text(self) -> str:
         return f"uniform({self.lo},{self.hi})"
@@ -97,8 +111,7 @@ class StreamSpec:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        if isinstance(self.n_items, bool) or not isinstance(self.n_items, int) or self.n_items < 0:
-            raise ValueError(f"n_items must be a nonnegative integer, got {self.n_items!r}")
+        check_count("n_items", self.n_items, nonnegative=True)
         check_count("n_keys", self.n_keys)
 
     def describe(self) -> dict:
@@ -273,13 +286,13 @@ def read_csv(path) -> Stream:
             if not sep or "," in right:
                 raise ValueError(f"line {lineno}: expected exactly one 'key,value' pair, got {line!r}")
             # int() and float() also take "+" and "_", which the format lacks. A
-            # "-" passes, so that a negative key reports the range it is outside.
+            # "-" passes, so that any signed key, "-0" too, reports the range error.
             if _KEY_RE.fullmatch(left) is None:
                 raise ValueError(f"line {lineno}: key {left!r} is not a decimal integer")
             try:
-                key = as_key(int(left))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
+                key = as_key(-1 if left[0] == "-" else int(left))
+            except ValueError:
+                raise ValueError(f"line {lineno}: key {left} outside the unsigned 64-bit range") from None
             try:
                 if "_" in right:
                     raise ValueError

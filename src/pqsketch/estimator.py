@@ -49,9 +49,7 @@ class PointEstimator:
     def insert(self, value: Value) -> None:
         """Insert one finite value, expanding it through the calibrator.
 
-        This is the reference copy of the push. ``PerKeyQuantileSketch.insert``
-        runs an inline copy of it for a key that holds a cell, which
-        ``tests/test_sketch.py::TestResidentFirst`` checks against this one.
+        The reference copy of the push that ``PerKeyQuantileSketch.insert`` inlines.
         """
         if type(value) is not float or not math.isfinite(value):
             check_value(value)
@@ -106,10 +104,9 @@ class PointEstimator:
     def query(self) -> Value:
         """Current estimate: the lower median of the representative.
 
-        If that median is a calibration sentinel, the nearest finite neighbor
-        in sorted order is returned instead (scanning toward larger values
-        from -inf, smaller from +inf). A representative with no finite value
-        leaves the answer to the candidate's n finite values: their
+        If that median is a calibration sentinel, its nearest finite neighbor
+        in sorted order is returned instead. A representative with no finite
+        value leaves the answer to the candidate's n finite values: their
         w-quantile, at sorted index ceil(w (n - 1) - 1/2), which rounds half
         down, so w = 0.5 gives the lower median and a short stream still gets
         its exact quantile back.

@@ -3,7 +3,6 @@
 Everything downstream of the one user-supplied seed (the counter tower's
 hash, bucket placement, the calibration streams, synthetic data) is derived
 through these functions, so two runs with the same seed replay bit for bit.
-check_seed is the one rule for what a seed may be.
 """
 from __future__ import annotations
 
@@ -18,19 +17,8 @@ _MIX2 = 0xC4CEB9FE1A85EC53
 def hash_key(key: int, seed: int) -> int:
     """Seeded 64-bit hash of an integer key: every bit of key + seed affects every output bit.
 
-    The mix is written out here rather than called, because this is the
-    per-item hash and a call costs as much as a few of its steps. This is the
-    reference copy; the one other copy is inlined in ``TowerFilter.admit``,
-    which mixes a key once per gate step and takes from that value the three
-    counter indices and, where the layout allows, an admitted key's bucket
-    (admit's docstring holds the placement rule and when it calls this
-    function again). tests/test_tower.py pins it: TestIndices checks
-    ``TowerFilter.indices`` and admit's bucket against this function, and
-    TestAdmit checks ``admit`` against ``indices``.
-
-    The other callers: ``TowerFilter.indices`` (the reference digits),
-    ``ValueSketch.bucket_of`` (a standalone value sketch's bucket) and
-    ``child_seed``.
+    The reference copy of the mix: ``TowerFilter.admit`` runs the one inline
+    copy, and TestIndices and TestAdmit in tests/test_tower.py pin it to this.
     """
     x = (key + seed) & _MASK
     x ^= x >> 33

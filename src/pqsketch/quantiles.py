@@ -6,9 +6,6 @@ values span a closed interval of ranks; a value is ranked at the point of its
 interval nearest the target w. An estimate x scores |rank(x) - w| after it is
 snapped to the nearest present value, which is scale free and invariant under
 strictly increasing transforms of the values.
-
-The reference multisets themselves are built once from the stream's arrays
-(see ``bench``); these functions only rank within one sorted list.
 """
 from __future__ import annotations
 
@@ -35,10 +32,10 @@ def check_weight(w: float) -> None:
         raise ValueError(f"quantile weight must lie in [0, 1], got {w!r}")
 
 
-def check_count(name: str, value: int, even: bool = False) -> None:
-    """The one check of a size parameter: a positive (and, if asked, even) int."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1 or (even and value % 2):
-        kind = "positive even integer" if even else "positive integer"
+def check_count(name: str, value: int, even: bool = False, nonnegative: bool = False) -> None:
+    """The one check of a count: a positive int, or with ``even`` a positive even one, or with ``nonnegative`` 0 too."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < (0 if nonnegative else 1) or (even and value % 2):
+        kind = "nonnegative integer" if nonnegative else "positive even integer" if even else "positive integer"
         raise ValueError(f"{name} must be a {kind}, got {value!r}")
 
 
@@ -61,12 +58,9 @@ def check_value(value) -> None:
 
 
 def rank_toward(ordered: Sequence[Value], x: Value, w: float) -> float:
-    """Rank of x resolved toward the target w when x is duplicated.
-
-    Equal values span a closed interval of ranks; this returns the point of
-    that interval nearest w, so an estimate equal to the true w-quantile value
-    scores zero error even when the value repeats. For a unique x it is the
-    plain rank. ``ordered`` must already be sorted ascending.
+    """Rank of x, resolved toward w when x repeats (see the module), so an estimate
+    equal to the true w-quantile value scores zero error. ``ordered`` must
+    already be sorted ascending.
     """
     check_weight(w)
     n = len(ordered)

@@ -1,13 +1,10 @@
 """The composed per-key sketch: frequency gate in front, value sketch behind.
 
-Every stream item consults the counter tower first. Keys still below the gate
-threshold only bump their counters and their value is dropped, so the value
-sketch's cells are never wasted on one-off keys: only a key seen at least T
-times starts feeding an estimator (its first T values are the admission fee
-and are not recoverable). Capacity planning splits one byte budget between
-the two stages and predicts how likely a bucket is to see more keys than it
-has cells. The tower's layout (widths, counters per array, top count) lives in
-tower.py; the plan only decides the bytes per array.
+A key's values are dropped until the counter tower has seen it T times, so
+the value sketch's cells are never wasted on one-off keys: its first T values
+are the admission fee and are not recoverable. Capacity planning splits one
+byte budget between the two stages and predicts how likely a bucket is to
+see more keys than it has cells.
 """
 from __future__ import annotations
 
@@ -50,12 +47,9 @@ def collision_probability(entering_keys: int, buckets: int, cells_per_bucket: in
     1 - e^(-H/u) * sum_{i=0..d} (H/u)^i / i!. Evaluated in log space so large
     loads and large d cannot overflow.
     """
-    if buckets < 1:
-        raise ValueError(f"bucket count must be positive, got {buckets!r}")
-    if cells_per_bucket < 0:
-        raise ValueError(f"cell count must be nonnegative, got {cells_per_bucket!r}")
-    if entering_keys < 0:
-        raise ValueError(f"key count must be nonnegative, got {entering_keys!r}")
+    check_count("bucket count", buckets)
+    check_count("cell count", cells_per_bucket, nonnegative=True)
+    check_count("key count", entering_keys, nonnegative=True)
     if entering_keys == 0:
         return 0.0
     load = entering_keys / buckets
@@ -71,9 +65,7 @@ def collision_probability(entering_keys: int, buckets: int, cells_per_bucket: in
 class SketchParams:
     """Full configuration of a composed sketch.
 
-    total_memory_bytes is split once: tower_fraction of it feeds the counter
-    tower (divided evenly across its arrays), the rest buys value-sketch
-    buckets. All randomness downstream derives from seed.
+    plan_capacity splits total_memory_bytes; all randomness derives from seed.
     """
 
     quantile: float = 0.5
@@ -91,8 +83,7 @@ class SketchParams:
         check_count("total_memory_bytes", self.total_memory_bytes)
         if not isinstance(self.tower_fraction, numbers.Real) or not 0.0 < self.tower_fraction < 1.0:
             raise ValueError(f"tower fraction must be a real number strictly inside (0, 1), got {self.tower_fraction!r}")
-        if isinstance(self.gate_threshold, bool) or not isinstance(self.gate_threshold, int) or self.gate_threshold < 0:
-            raise ValueError(f"gate threshold must be a nonnegative integer, got {self.gate_threshold!r}")
+        check_count("gate threshold", self.gate_threshold, nonnegative=True)
         # The tower's estimate never exceeds TOP_LIMIT, so a higher gate would
         # never open; resident-first routing needs it to.
         if self.gate_threshold > TOP_LIMIT:
@@ -154,14 +145,7 @@ def plan_capacity(params: SketchParams) -> CapacityPlan:
 
 
 class PerKeyQuantileSketch:
-    """Frequency-gated per-key quantile estimation under one byte budget.
-
-    insert() routes each item: keys whose tower estimate is still below the
-    gate threshold pay into the tower and lose their value; everything else
-    goes to the value sketch. The tower is never updated once a key's gate is
-    open, so gated counts stay honest admission fees rather than growing
-    without bound.
-    """
+    """Frequency-gated per-key quantile estimation under one byte budget."""
 
     def __init__(self, params: SketchParams) -> None:
         self.params = params
@@ -192,27 +176,20 @@ class PerKeyQuantileSketch:
     def insert(self, key: int, value: Value) -> InsertResult | None:
         """Feed one item. Returns None when the gate swallowed it.
 
-        A key that holds a cell is fed without consulting the tower: its gate
-        opened before it was placed, and stays open, because counters only
-        grow and a saturated counter only leaves the min. Every other key
-        takes one tower step and, once admitted, goes to the value sketch.
+        Resident first: a key that holds a cell is fed without a tower step.
+        Its gate opened before it was placed and never closes, because
+        counters only grow and a saturated counter only leaves the min. The
+        matched step (vote, calibration draw, sentinels, push) runs on the
+        cell in this frame, an inline copy of ``ValueSketch.insert``'s matched
+        branch and ``PointEstimator.insert``; TestResidentFirst in
+        tests/test_sketch.py pins the copies together.
 
-        The matched step (vote, calibration draw, sentinels, push) runs on the
-        cell in this one frame: it is an inline copy of ``ValueSketch.insert``'s
-        matched branch and ``PointEstimator.insert``, and ``TestResidentFirst``
-        checks it against them for both sentinel kinds and the identity.
+        Any other key takes one ``TowerFilter.admit`` step, which counts it
+        only while its gate is shut, and once admitted goes straight to
+        ``ValueSketch._place``, in the bucket that step returns.
 
-        A key that is not exactly an int goes through ``as_key`` before the
-        lookup, and a key without a cell is range-checked before the tower, so
-        only a checked key can get a cell. An admitted key is checked once:
-        it goes straight to the value sketch's placement step, in the bucket
-        that the tower step returns (``TowerFilter.admit`` holds the rule).
-
-        Values follow ``check_value``, whether or not the key is still gated,
-        and are checked before anything changes.
-
-        :raises ValueError: for a non-finite value or one beyond the float range.
-        :raises TypeError: for a value that is a bool or not a real number.
+        Keys follow ``as_key`` and values ``check_value``, gated or not, and
+        both are checked before anything changes.
         """
         if type(key) is not int:
             key = as_key(key)
@@ -246,11 +223,7 @@ class PerKeyQuantileSketch:
         return self.values._place(key, value, b)
 
     def query(self, key: int) -> Value:
-        """Quantile estimate for a tracked key, with ValueSketch.query's key rule and errors.
-
-        An int key that holds a cell is answered here; every other key goes
-        to ``ValueSketch.query``, which applies the key rule.
-        """
+        """Quantile estimate for a tracked key; errors as ``ValueSketch.query``."""
         if type(key) is int:
             cell = self._resident.get(key)
             if cell is not None:

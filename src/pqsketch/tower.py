@@ -3,20 +3,15 @@
 Three counter arrays share one byte budget. Narrow counters are plentiful but
 saturate early; wide counters are scarce but keep counting. A key increments
 one counter per array; a query takes the minimum over the arrays whose
-counter has not saturated, treating saturated counters as +inf. The
-mixed-radix digits of one hash of the key index the three arrays (see
-TowerFilter.indices): a 64-bit hash, or for layouts too large for 64 bits to
-reach every counter, a 128-bit one built from two. A tower built with the
-composed sketch's bucket count also names an admitted key's bucket; the rule
-for that lives in TowerFilter.admit. Estimates are one sided:
-collisions only ever add, so the reported count is always >= the key's true
-insertion count while the widest array still has headroom, however the
-indices are drawn.
+counter has not saturated, treating saturated counters as +inf. Estimates are
+one sided: collisions only ever add, so the reported count is always >= the
+key's true insertion count while the widest array still has headroom, however
+the indices are drawn.
 
 This module is the one home of the tower's layout: the widths (WIDTHS), the
-largest count it can report (TOP_LIMIT) and the counters a byte budget buys
-(layer_counters). The capacity plan and the gate check in sketch.py read them
-from here.
+largest count it can report (TOP_LIMIT), the counters a byte budget buys
+(layer_counters), the index rule (TowerFilter.indices) and the placement
+rule (TowerFilter.admit).
 """
 from __future__ import annotations
 
@@ -29,8 +24,7 @@ WIDTHS = (4, 8, 16)
 TOP_LIMIT = (1 << WIDTHS[-1]) - 1
 # Every digit taken from the hash keeps its relative bias under 2^-BIAS_BITS.
 BIAS_BITS = 10
-# Past this many counter triples (n0 * n1 * n2) the digits come from 128 bits,
-# keeping their relative bias n0 * n1 * n2 / 2^bits under 2^-BIAS_BITS.
+# Past this many counter triples the digits come from 128 bits (see TowerFilter.indices).
 WIDE_LAYOUT = 1 << (64 - BIAS_BITS)
 
 
@@ -52,10 +46,8 @@ class TowerFilter:
     """Counter arrays of widths 4/8/16 bits over one shared byte budget.
 
     :param bytes_per_array: bytes given to each array; see layer_counters.
-    :param seed: an int (not a bool); the tower's hash seeds derive from it,
-        and every array's index is a digit of that one hash.
-    :param buckets: u, how many buckets admit picks from for an admitted
-        key (see admit); a standalone tower keeps 1, and admit answers 0.
+    :param seed: an int (``check_seed``); the tower's hash seeds derive from it.
+    :param buckets: u, the buckets admit picks from; a standalone tower keeps 1.
     """
 
     def __init__(self, bytes_per_array: int, seed: int = 0, buckets: int = 1) -> None:
@@ -70,10 +62,8 @@ class TowerFilter:
             for width, counters in zip(WIDTHS, (n0, n1, n2))
         ]
         # Everything one step reads, flat, so each method takes it in one
-        # unpack: the seed, the second seed (None unless the layout needs the
-        # 128-bit hash), the counts, limits and arrays of _layers, the bucket
-        # count, and the seed of the bucket's own hash (None while the
-        # quotient picks the bucket; see admit).
+        # unpack. wide_seed is None unless x has 128 bits (see indices), and
+        # rehash_seed None while the quotient picks the bucket (see admit).
         (_, l0, a0), (_, l1, a1), (_, _, a2) = self._layers
         wide = n0 * n1 * n2 > WIDE_LAYOUT
         wide_seed = child_seed(seed, 1) if wide else None
@@ -87,16 +77,14 @@ class TowerFilter:
         With n0, n1, n2 counters per array and x = hash_key(key, s0), the
         indices are x % n0, x // n0 % n1 and x // (n0 * n1) % n2. For a uniform
         x the three digits are independent and uniform up to a relative bias of
-        n0 * n1 * n2 / 2^64. Past WIDE_LAYOUT triples that bias grows too large
-        (past 2^64 the last digit cannot reach every counter), so there x is
-        hash_key(key, s0) | hash_key(key, s1) << 64 and the bias is
+        n0 * n1 * n2 / 2^64, about 2^-22 at the default 17,066 bytes per array.
+        Past WIDE_LAYOUT triples (256 KB per array) that passes 2^-BIAS_BITS,
+        and past 2^64 (2.6 MB) the last digit could not reach every counter,
+        so there x = hash_key(key, s0) | hash_key(key, s1) << 64, with bias
         n0 * n1 * n2 / 2^128. Taking x % n_k per array instead would tie the
         arrays together, because the default counts divide one another.
 
-        Keys follow ``as_key``: a bool or non-integer raises TypeError, a key
-        outside [0, 2^64) ValueError, so no key can alias another by wrapping.
-        insert and query take their indices from here, so the rule holds for
-        them too.
+        Keys follow ``as_key``; insert and query take their indices from here.
         """
         key = as_key(key)
         s0, s1, n0, _, _, n1, _, _, n2 = self._step[:9]
@@ -114,29 +102,25 @@ class TowerFilter:
     def admit(self, key: int, threshold: int) -> int | None:
         """One gate step: key's bucket if its estimate has reached threshold, else None.
 
-        Below threshold key pays its fee (its unsaturated counters are bumped).
         Same as query(key) >= threshold followed, when that fails, by
         insert(key), but hashing key once. Bucket 0 is an open gate, so
         callers test the answer with ``is None``.
 
-        The placement rule lives here alone. The bucket is one of the tower's
-        u; a standalone tower has u = 1 and answers 0. The quotient
-        q = x // (n0 * n1 * n2), the hash above the three counter digits,
-        takes 2^bits // (n0 * n1 * n2) values, so q % u has a relative bias of
-        u over that count. The byte ranges are those of the default sketch:
+        The placement rule lives here alone. The quotient q = x // (n0 * n1 * n2),
+        the hash above the counter digits, takes 2^bits // (n0 * n1 * n2)
+        values, so q % u has a relative bias of u over that count. By the
+        default sketch's total bytes:
 
-        - Up to 983,069 bytes (the default 500 KB among them),
-          n0 * n1 * n2 * u <= 2^54 keeps that bias under 2^-10, like the
-          digits', and the bucket is q % u: one mix per item.
-        - From 983,070 to 7,864,349 bytes, n0 * n1 * n2 <= 2^54 < n0 * n1 * n2 * u:
-          q is too narrow, and an open gate mixes once more, as
-          hash_key(key, child_seed(seed, 1)) % u.
-        - From 7,864,350 bytes, x has 128 bits (see indices) and the bucket
-          is q % u again: two mixes per item, and no third.
+        - up to 983,069 (the default 500 KB among them), n0 * n1 * n2 * u <= 2^54
+          keeps that bias under 2^-10, like the digits', and the bucket is
+          q % u: one mix per item;
+        - from 983,070 to 7,864,349, q is too narrow, and an open gate mixes
+          once more, as hash_key(key, child_seed(seed, 1)) % u;
+        - from 7,864,350, x has 128 bits (see indices) and the bucket is
+          q % u again: two mixes per item, and no third.
 
-        This is the per-item gate step, so hash_key's mix and the digits of
-        indices are written out here instead of called; TestAdmit pins them.
-        The key is not checked here: the caller has applied ``as_key``'s rule.
+        The mix and the digits are inline copies of hash_key and indices. The
+        key is not checked here: the caller has applied ``as_key``'s rule.
         """
         s0, s1, n0, l0, a0, n1, l1, a1, n2, a2, buckets, rehash_seed = self._step
         x = (key + s0) & _MASK

@@ -80,33 +80,26 @@ class Cell(PointEstimator):
 
     @property
     def estimator(self) -> Cell:
-        """The cell itself. Criterion 2 of tests/test_acceptance.py, which stays
-        unchanged, reads ``cell.estimator.candidate``."""
+        """The cell itself, for readers of ``cell.estimator`` (criterion 2 of tests/test_acceptance.py)."""
         return self
 
 
 class Bucket:
     """d cell slots and their shared negative vote.
 
-    The bucket's vote floor lives in ``ValueSketch._floors``, not in a slot
-    here. A third slot takes a Bucket from 48 to 56 bytes, the size of the
-    cells' buffer lists; when cells were 56 bytes too (they are 88 now), that
-    alone cost about 3% of insert and query throughput on zipf-p50.
+    Its vote floor and count of empty cells live in ValueSketch's ``_floors``
+    and ``_room`` lists, not in slots: slots for them (a 64-byte Bucket, not
+    48) lost 2.1-2.3% of insert throughput on zipf-p50 and 1.0-1.7% on churn,
+    every pair of two lock-step perfbench runs (10 s, seeds 3-7, 2-core VM).
 
     Invariant: the floor is <= the smallest ``vote_plus`` among the cells.
-    It starts at 1, the vote of a new cell, and votes only grow, so the
-    invariant can only break where a cell is replaced. ``ValueSketch._place``
-    is the one place that does so, and it resets the floor to 1 at every
-    eviction.
+    It starts at 1, the vote of a new cell, and votes only grow, so only a
+    replaced cell can break it. ``ValueSketch._place`` is the one place that
+    replaces a cell, and it resets the floor to 1 at every eviction.
 
-    Invariant: the occupied cells are a prefix of ``cells``. ``_place``
-    claims the first empty cell, and no cell is ever emptied again, since an
-    eviction reuses the victim's cell in place. So a bucket that ``_place``
-    filled is full exactly when its last cell is occupied. The placement
-    step does not test that, though: it reads the bucket's count of empty
-    cells in ``ValueSketch._room``, which ``_new_cell`` keeps, and which is
-    right for any order of claimed cells (the acceptance replay of
-    criterion 2 sets a cell after an empty one by hand).
+    Invariant: the room counts the empty cells, in any order (criterion 2
+    sets a cell after an empty one by hand). ``_new_cell`` keeps it, and no
+    cell is emptied again, since an eviction reuses the victim's cell.
     """
 
     __slots__ = ("vote_minus", "cells")
@@ -122,13 +115,11 @@ class ValueSketch:
     :param buckets: u, number of hash buckets.
     :param cells_per_bucket: d, key slots per bucket.
     :param eviction_ratio: negative-to-positive vote multiple required to
-        recycle the weakest cell of a full bucket (int, float, Fraction, or
-        a string like "2.5").
+        recycle the weakest cell of a full bucket; see as_ratio.
     :param candidate_capacity: r for the per-cell estimators.
     :param representative_capacity: s for the per-cell estimators.
     :param quantile: w answered by every estimator.
-    :param seed: an int (not a bool); drives bucket placement and the
-        calibration stream all cells share.
+    :param seed: drives bucket placement and the one calibration stream.
     :param hash_fn: testing seam; replaces the seeded bucket hash.
     """
 
@@ -160,13 +151,10 @@ class ValueSketch:
         self._u = buckets
         self._d = cells_per_bucket
         self._hash_fn = hash_fn
-        # Key -> its cell, over every occupied cell. A key holds at most one
-        # cell, so one exact lookup says whether it is resident, with no hash
-        # and no bucket scan; only a key without a cell needs its bucket.
+        # Key -> its cell, over every occupied cell; a key holds at most one.
         self._resident: dict[int, Cell] = {}
         self.buckets: list[Bucket] = [Bucket(cells_per_bucket) for _ in range(buckets)]
-        # Bucket i's vote floor, a lower bound on its cells' votes, and its
-        # count of empty cells (see Bucket).
+        # Per-bucket vote floor and count of empty cells; see Bucket.
         self._floors = [1] * buckets
         self._room = [cells_per_bucket] * buckets
 
@@ -186,19 +174,12 @@ class ValueSketch:
     def insert(self, key: int, value: Value) -> InsertResult:
         """Feed one (key, value) pair; returns what happened to the key.
 
-        Matched: the key already held a cell. Placed: an empty cell was
-        claimed (first empty slot). Evicted: a full bucket's weakest resident
-        lost the vote and the key took its cell (the loser's key rides along
-        in the result). Rejected: the bucket held, and only its negative vote
-        moved.
+        Matched: the key held a cell. Placed: it claimed an empty cell.
+        Evicted: it took the cell of its full bucket's weakest resident, whose
+        key rides along in the result. Rejected: only the negative vote moved.
 
-        Keys go through ``as_key``: a non-int one before the lookup, any before the hash.
-        Values go through ``check_value``.
-
-        The matched branch is the reference copy of the matched step.
-        ``PerKeyQuantileSketch.insert`` runs an inline copy of it (and of
-        ``PointEstimator.insert``), which ``tests/test_sketch.py::TestResidentFirst``
-        checks against this one.
+        Keys follow ``as_key`` and values ``check_value``. The matched branch
+        is the reference copy of the step ``PerKeyQuantileSketch.insert`` inlines.
         """
         if type(key) is not int:
             key = as_key(key)
@@ -214,25 +195,14 @@ class ValueSketch:
     def _place(self, key: int, value: Value, bucket_index: int) -> InsertResult:
         """Claim a cell of bucket bucket_index for a checked key without one, evict for it, or reject it.
 
-        The caller has found that the key holds no cell, checked the value
-        and that key lies in [0, 2^64), and picked the key's bucket:
-        ``insert`` takes ``bucket_of(key)``, and ``PerKeyQuantileSketch.insert``
-        the bucket that the tower's ``admit`` returns.
-
-        A bucket with an empty cell (``_room``) gives the key its first one.
-
-        A full bucket takes one more negative vote. If that vote still falls
-        short of the ratio times the bucket's floor (``_floors``), it falls
-        short of the weakest cell too, and the key is rejected with no scan.
-        Otherwise the cells are scanned for the weakest (lowest index on
-        ties): a rejection raises the floor to its vote, and an eviction
-        resets the floor to 1, since the reclaimed cell restarts at vote 1.
-        This is the one place that replaces a cell, so it is the one place
-        that must keep each floor <= the smallest vote in its bucket.
-
-        An eviction reuses the victim's cell in place: the key changes, the
-        vote restarts at 1 and both buffers are emptied. The cell keeps the
-        sketch's calibrator, so its draws continue the one stream.
+        The caller has found that the key holds no cell, checked the key and
+        the value, and picked the bucket. A full bucket takes one more
+        negative vote. If that vote falls short of the ratio times the
+        bucket's floor, it falls short of the weakest cell too, and the key is
+        rejected with no scan. Otherwise the cells are scanned for the weakest
+        (lowest index on ties): a rejection raises the floor to its vote, and
+        an eviction reuses the victim's cell in place, whose draws continue
+        the sketch's one calibration stream.
         """
         bucket = self.buckets[bucket_index]
         cells = bucket.cells
@@ -269,14 +239,9 @@ class ValueSketch:
         return tuple.__new__(InsertResult, (_EVICTED, evicted_key))
 
     def query(self, key: int) -> Value:
-        """Quantile estimate for a tracked key.
-
-        Keys follow insert's rule: a non-int one goes through ``as_key``
-        before the lookup, and a key without a cell is range-checked.
+        """Quantile estimate for a tracked key. Keys follow ``as_key``.
 
         :raises KeyError: if the key holds no cell ("not tracked").
-        :raises TypeError: for a key that is not an integer, a bool included.
-        :raises ValueError: for a key outside [0, 2^64).
         """
         if type(key) is not int:
             key = as_key(key)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -36,6 +37,50 @@ class TestDistributionSpecs:
             ExponentialValues(0)
         with pytest.raises(ValueError, match="lo <= hi"):
             UniformValues(2.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ZipfKeys(True),
+            lambda: ParetoValues(True, 1.0),
+            lambda: ExponentialValues(True),
+            lambda: UniformValues(False, True),
+            lambda: ParetoValues("2"),
+            lambda: ExponentialValues(10**400),
+        ],
+    )
+    def test_parameters_are_finite_reals_not_bools(self, build):
+        # A bool is not a parameter: uniform(False,True) would name a spec
+        # the parser cannot read back.
+        with pytest.raises(ValueError):
+            build()
+
+    def test_numpy_real_parameter_is_accepted_as_a_float(self):
+        dist = ZipfKeys(np.float32(1.5))
+        assert dist == ZipfKeys(1.5)
+        assert type(dist.alpha) is float
+
+    @settings(max_examples=200)
+    @given(
+        st.sampled_from([ZipfKeys, ParetoValues, ExponentialValues, UniformValues]).flatmap(
+            lambda kind: st.tuples(
+                st.just(kind),
+                # Python ints (bools, and ints past float precision and range, too) and floats.
+                st.lists(
+                    st.one_of(st.booleans(), st.integers(), st.integers(2**53, 2**1100), st.floats()),
+                    max_size=len(fields(kind)),
+                ),
+            )
+        )
+    )
+    def test_every_accepted_distribution_round_trips(self, case):
+        kind, args = case
+        try:
+            dist = kind(*args)
+        except ValueError:
+            return
+        field = "key_dist" if kind is ZipfKeys else "value_dist"
+        assert getattr(parse_stream_spec(f"{field}={dist.spec_text()}"), field) == dist
 
     def test_spec_text_round_trips_through_parser(self):
         for dist in (ZipfKeys(1.5), UniformKeys()):
@@ -250,6 +295,8 @@ class TestCsv:
             ("x,2.0\n", "line 1.*not a decimal integer"),
             ("1.5,2.0\n", "line 1.*not a decimal integer"),
             ("-1,2.0\n", "line 1.*unsigned 64-bit"),
+            ("-0,1.5\n", "line 1.*unsigned 64-bit"),
+            ("-00,1.5\n", "line 1.*unsigned 64-bit"),
             (f"{1 << 64},2.0\n", "line 1.*unsigned 64-bit"),
             ("7\n", "line 1.*exactly one"),
             ("1,abc\n", "line 1.*not a decimal real"),

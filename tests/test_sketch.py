@@ -88,6 +88,10 @@ class TestCollisionProbability:
             collision_probability(10, 10, -1)
         with pytest.raises(ValueError, match="key count"):
             collision_probability(-1, 10, 4)
+        with pytest.raises(ValueError, match="cell count"):
+            collision_probability(100, 10, 2.5)
+        with pytest.raises(ValueError, match="bucket count"):
+            collision_probability(100, 2.5, 2)
 
 
 class TestSketchParams:
