@@ -5,7 +5,8 @@ when it fills, its two middle order statistics (sorted ranks r/2 and r/2 + 1)
 move to a representative buffer of capacity s and the candidate is discarded.
 If the representative would overflow, the global minimum and maximum of the
 s + 2 values present are dropped, squeezing the buffer toward the middle of
-the distribution. The query answer is the lower median of the representative.
+the distribution. The query answer is the lower median of the representative
+(the key table's cells keep it sorted; see ``value_sketch.Cell``).
 
 Batching through medians keeps the estimate unbiased around the median of the
 input stream, and the min/max eviction concentrates it there; combined with a
@@ -115,9 +116,10 @@ class PointEstimator:
             (before any insert); "degenerate estimate" if only sentinels remain,
             which inserts never bring about (see _flush), only buffers set by hand.
         """
-        rep = self.representative
-        if rep:
-            ordered = sorted(rep)
+        return self._answer(sorted(self.representative))
+
+    def _answer(self, ordered: list[Value]) -> Value:
+        if ordered:
             idx = (len(ordered) - 1) >> 1
             v = ordered[idx]
             if math.isfinite(v):
@@ -133,7 +135,7 @@ class PointEstimator:
         if finite:
             finite.sort()
             return finite[math.ceil(self._calibrator.w * (len(finite) - 1) - 0.5)]
-        if not (rep or self.candidate):
+        if not (ordered or self.candidate):
             raise ValueError("insufficient data: no finite values inserted")
         raise ValueError("degenerate estimate: only sentinels retained")
 

@@ -11,15 +11,16 @@ the negative vote that eventually recycles a stale cell.
 """
 from __future__ import annotations
 
-import math
+from bisect import bisect_left, bisect_right, insort
 from enum import Enum
 from fractions import Fraction
+from math import isfinite
 from typing import Callable, NamedTuple
 
 from .calibration import Calibrator
 from .estimator import PointEstimator
 from .hashing import as_key, check_seed, hash_key
-from .quantiles import Value, check_count, check_value
+from .quantiles import NEG_INF, POS_INF, Value, check_count, check_value
 
 
 class InsertOutcome(Enum):
@@ -55,13 +56,13 @@ def as_ratio(value) -> Fraction:
     if isinstance(value, Fraction):
         ratio = value
     elif isinstance(value, float):
-        if not math.isfinite(value):
+        if not isfinite(value):
             raise ValueError(f"eviction ratio must be finite, got {value!r}")
         ratio = Fraction(str(value))
     else:
         try:
             ratio = Fraction(value)
-        except (ValueError, ZeroDivisionError):
+        except (TypeError, ValueError, ZeroDivisionError):
             raise ValueError(f"eviction ratio must be a number, got {value!r}") from None
     if ratio <= 0:
         raise ValueError(f"eviction ratio must be positive, got {value!r}")
@@ -69,7 +70,13 @@ def as_ratio(value) -> Fraction:
 
 
 class Cell(PointEstimator):
-    """A key's cell: the key's estimator itself, plus the key and its positive vote."""
+    """A key's cell: the key's estimator itself, plus the key and its positive vote.
+
+    A cell keeps its representative sorted: its query reads the lower median
+    by index, and its flush drops or repairs entries at the ends only.
+    ``PointEstimator`` keeps append order, which criterion 1 of
+    tests/test_acceptance.py reads after a flush; tests hold cells to it.
+    """
 
     __slots__ = ("key", "vote_plus")
 
@@ -77,6 +84,27 @@ class Cell(PointEstimator):
         super().__init__(r, s, calibrator)
         self.key = key
         self.vote_plus = vote_plus
+
+    def _flush(self) -> None:
+        c = self.candidate
+        c.sort()
+        half = self._r >> 1
+        rep = self.representative
+        insort(rep, c[half - 1])
+        insort(rep, c[half])
+        if len(rep) > self._s:
+            del rep[0], rep[-1]
+        if rep[0] == POS_INF and c[0] != POS_INF:
+            rep[0] = c[bisect_left(c, POS_INF) - 1]
+        elif rep[-1] == NEG_INF and c[-1] != NEG_INF:
+            rep[-1] = c[bisect_right(c, NEG_INF)]
+        c.clear()
+
+    def query(self) -> Value:
+        rep = self.representative
+        if rep and isfinite(v := rep[(len(rep) - 1) >> 1]):
+            return v
+        return self._answer(rep)
 
     @property
     def estimator(self) -> Cell:

@@ -31,8 +31,8 @@ ITEMS = 200_000
 
 # name: (key distribution, key count, w, SHA-256 of the state at the end)
 CASES = {
-    "zipf-w0.5": (ZipfKeys(1.0), 10_000, 0.5, "efc28d05cec8e630cc69d1f5ae3055dcc33fa2242b3505ab0df41fa9363c47ea"),
-    "zipf-w0.9": (ZipfKeys(1.0), 10_000, 0.9, "ee64ee07f182e09bb1699e95019e4823a09c666ceb503e55d2fe46be51ff46cf"),
+    "zipf-w0.5": (ZipfKeys(1.0), 10_000, 0.5, "0c48d1b55630afcce8ac98b2ebdb9313393a01f134cce090f13a38796f5f7793"),
+    "zipf-w0.9": (ZipfKeys(1.0), 10_000, 0.9, "be4a34ccbde39cb4ec8f6699fb1c8b573bfdb2434fba125bd226a39e6712f298"),
     "uniform-w0.5": (UniformKeys(), 25_000, 0.5, "60053fe4dd592c49c88337028640de396a2b2e3897b1d89347c59266bc065865"),
 }
 

@@ -21,7 +21,7 @@ from pqsketch import (
     collision_probability,
     rank_error,
 )
-from pqsketch.value_sketch import as_ratio
+from pqsketch.value_sketch import Cell, as_ratio
 
 
 def single_bucket(eviction_ratio=4, cells=2, **kwargs):
@@ -63,6 +63,13 @@ class TestAsRatio:
     def test_division_by_zero_is_a_value_error(self):
         with pytest.raises(ValueError, match="eviction ratio"):
             as_ratio("1/0")
+
+    @pytest.mark.parametrize("bad", [None, 1j, [1]])
+    def test_non_numbers_are_value_errors(self, bad):
+        with pytest.raises(ValueError, match="eviction ratio must be a number"):
+            as_ratio(bad)
+        with pytest.raises(ValueError, match="eviction ratio must be a number"):
+            SketchParams(eviction_ratio=bad)
 
 
 class TestOutcomes:
@@ -196,6 +203,45 @@ class TestVoteAccounting:
         assert result.evicted_key == 1
 
 
+def answer(query):
+    """What a query gives: its estimate, or its error's message."""
+    try:
+        return query()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestSortedRepresentative:
+    """A cell keeps its representative sorted; PointEstimator, which keeps
+    append order, is its reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        w=st.sampled_from([0.1, 0.5, 0.9, 0.99]),
+        r=st.sampled_from([2, 4, 6]),
+        s=st.sampled_from([2, 4, 6]),
+        seed=st.integers(0, 3),
+        # A small pool repeats values, and holds both zeros. At r = 2 most
+        # flushes take a pair with a sentinel in it, so both sentinel repairs
+        # of _flush occur, at w = 0.1 and at w = 0.9 and 0.99.
+        values=st.lists(
+            st.sampled_from([-0.0, 0.0, 1.0, -2.5, 7.0]) | st.floats(-1e6, 1e6, allow_nan=False),
+            max_size=150,
+        ),
+    )
+    def test_cell_agrees_with_a_point_estimator(self, w, r, s, seed, values):
+        cell = Cell(1, 1, r, s, Calibrator(w, seed))
+        ref = PointEstimator(r, s, Calibrator(w, seed))
+        assert answer(cell.query) == answer(ref.query)
+        for value in values:
+            cell.insert(value)
+            ref.insert(value)
+            assert cell.candidate == ref.candidate
+            # == holds 0.0 and -0.0 equal: equal extremes may leave either.
+            assert cell.representative == sorted(ref.representative)
+            assert answer(cell.query) == answer(ref.query)
+
+
 class ScanningModel:
     """Reference for ValueSketch placement: a full scan on every full-bucket
     miss, and a fresh cell (new estimator, new buffers) on every eviction."""
@@ -238,8 +284,9 @@ class ScanningModel:
         return InsertOutcome.EVICTED, evicted
 
     def state(self):
+        # A cell keeps its representative sorted, a PointEstimator in append order.
         return [
-            (minus, [None if c is None else (c[0], c[1], c[2].candidate, c[2].representative) for c in cells])
+            (minus, [None if c is None else (c[0], c[1], c[2].candidate, sorted(c[2].representative)) for c in cells])
             for minus, cells in zip(self.vote_minus, self.cells)
         ]
 
