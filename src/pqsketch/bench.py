@@ -153,7 +153,7 @@ def run_benchmark(
         sink = make_sink(params)
         insert_seconds.append(_timed_inserts(stream, sink.insert))
 
-    tracked = sorted(set(sink.tracked_keys()))
+    tracked = sorted(sink.tracked_keys())
     query = sink.query
     query_seconds: list[float] = []
     for _ in range(repeat):

@@ -41,41 +41,34 @@ class Calibrator:
     :param seed: int seed (``check_seed``) of the private geometric sampler;
         two calibrators with the same (w, seed) replay identical expansions.
 
-    ``draws`` is the iterator of Z values; ``next(cal.draws)`` is one draw.
+    ``sentinel`` and ``p``, Z's success probability, follow the module
+    docstring. ``draws`` is the iterator of Z values; ``next(cal.draws)`` is one draw.
     A copy or a pickle draws on from where the original stands.
     """
 
-    __slots__ = ("w", "sentinel", "draws", "_log_q", "_seed", "_rng", "_block", "_current")
+    __slots__ = ("w", "sentinel", "p", "draws", "_log_q", "_seed", "_rng", "_block", "_current")
 
     def __init__(self, w: float, seed: int = 0) -> None:
         check_weight(w)
         check_seed(seed)
-        self.w = float(w)
-        if self.w > 0.5:
+        self.w = w = float(w)
+        if w > 0.5:
             self.sentinel: float | None = POS_INF
-        elif self.w < 0.5:
+            self.p = 1.0 / (2.0 * w)
+        elif w < 0.5:
             self.sentinel = NEG_INF
+            self.p = 1.0 / (2.0 - 2.0 * w)
         else:
             self.sentinel = None
-        # A draw divides by ln(1 - p), so that is stored rather than p.
+            self.p = 1.0
         self._seed = seed
         self._rng: np.random.Generator | None = None
-        p = self.p
-        if p < 1.0:
-            self._log_q = math.log1p(-p)
+        if self.p < 1.0:
+            # A draw divides by ln(1 - p).
+            self._log_q = math.log1p(-self.p)
             self._begin(b"")
         else:
             self.draws = repeat(1)
-
-    @property
-    def p(self) -> float:
-        """Success probability of Z: 1/(2w) above the median, 1/(2 - 2w) below, 1 at it."""
-        w = self.w
-        if w > 0.5:
-            return 1.0 / (2.0 * w)
-        if w < 0.5:
-            return 1.0 / (2.0 - 2.0 * w)
-        return 1.0
 
     def _begin(self, unread: bytes) -> None:
         """Draw the bytes of unread first, then block after block."""
@@ -115,8 +108,9 @@ class Calibrator:
     def __reduce__(self):
         # The draw iterators cannot be copied, so a copy is rebuilt from the
         # generator's state and the unread rest of the current block. Even a
-        # shallow copy gets a generator of its own.
-        if self.sentinel is None:
+        # shallow copy gets a generator of its own. One that draws nothing
+        # (p = 1, a sentinel side too where 2 - 2w rounds to 1) has no block.
+        if self.p == 1.0:
             return (Calibrator, (self.w, self._seed))
         block = self._block
         unread = block[len(block) - length_hint(self._current):]

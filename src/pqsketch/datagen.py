@@ -13,6 +13,7 @@ starting with "#" are ignored.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
 import re
@@ -25,77 +26,65 @@ from .hashing import as_key
 from .quantiles import check_count
 
 
-def _check_params(dist, *names: str, positive: bool = True) -> None:
-    """The one rule for a distribution's parameters: each a finite real number,
-    not a bool, and positive unless ``positive`` is False. Each is stored as a
-    float, the type ``parse_stream_spec`` reads, so ``spec_text`` round-trips.
-    """
-    for name in names:
-        value = getattr(dist, name)
-        try:
-            x = math.nan if isinstance(value, bool) or not isinstance(value, numbers.Real) else float(value)
-        except OverflowError:  # an int or a Fraction too large for a float
-            x = math.nan
-        if not math.isfinite(x) or (positive and x <= 0):
-            kind = "positive and finite" if positive else "a finite real number"
-            raise ValueError(f"{type(dist).__name__} {name} must be {kind}, got {value!r}")
-        object.__setattr__(dist, name, x)
+class _Dist:
+    """A distribution, named in _KEY_KINDS or _VALUE_KINDS; its parameters are its fields."""
+
+    def __post_init__(self, positive: bool = True) -> None:
+        """The one rule for a distribution's parameters: each a finite real
+        number, not a bool, and positive unless ``positive`` is False. Each is
+        stored as a float, the type ``parse_stream_spec`` reads, so
+        ``spec_text`` round-trips.
+        """
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            try:
+                x = math.nan if isinstance(value, bool) or not isinstance(value, numbers.Real) else float(value)
+            except OverflowError:  # an int or a Fraction too large for a float
+                x = math.nan
+            if not math.isfinite(x) or (positive and x <= 0):
+                kind = "positive and finite" if positive else "a finite real number"
+                raise ValueError(f"{type(self).__name__} {field.name} must be {kind}, got {value!r}")
+            object.__setattr__(self, field.name, x)
+
+    def spec_text(self) -> str:
+        """The distribution as ``parse_stream_spec`` reads it: "name(arg,...)"."""
+        name = next(n for n, kind in (*_KEY_KINDS.items(), *_VALUE_KINDS.items()) if kind is type(self))
+        args = ",".join(str(getattr(self, field.name)) for field in dataclasses.fields(self))
+        return f"{name}({args})" if args else name
 
 
 @dataclass(frozen=True)
-class ZipfKeys:
+class ZipfKeys(_Dist):
     """Keys 1..n_keys with probability proportional to 1 / rank^alpha."""
 
     alpha: float = 1.0
 
-    def __post_init__(self) -> None:
-        _check_params(self, "alpha")
 
-    def spec_text(self) -> str:
-        return f"zipf({self.alpha})"
+@dataclass(frozen=True)
+class UniformKeys(_Dist):
+    pass
 
 
 @dataclass(frozen=True)
-class UniformKeys:
-    def spec_text(self) -> str:
-        return "uniform"
-
-
-@dataclass(frozen=True)
-class ParetoValues:
+class ParetoValues(_Dist):
     alpha: float = 1.0
     x_min: float = 1.0
 
-    def __post_init__(self) -> None:
-        _check_params(self, "alpha", "x_min")
-
-    def spec_text(self) -> str:
-        return f"pareto({self.alpha},{self.x_min})"
-
 
 @dataclass(frozen=True)
-class ExponentialValues:
+class ExponentialValues(_Dist):
     rate: float = 1.0
 
-    def __post_init__(self) -> None:
-        _check_params(self, "rate")
-
-    def spec_text(self) -> str:
-        return f"exponential({self.rate})"
-
 
 @dataclass(frozen=True)
-class UniformValues:
+class UniformValues(_Dist):
     lo: float = 0.0
     hi: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_params(self, "lo", "hi", positive=False)
+        super().__post_init__(positive=False)
         if self.lo > self.hi:
             raise ValueError(f"uniform bounds must satisfy lo <= hi, got ({self.lo!r}, {self.hi!r})")
-
-    def spec_text(self) -> str:
-        return f"uniform({self.lo},{self.hi})"
 
 
 KeyDist = Union[ZipfKeys, UniformKeys]
@@ -125,6 +114,9 @@ class StreamSpec:
         }
 
 
+CHUNK = 65536
+
+
 class Stream:
     """Columnar (key, value) sequence: keys in [0, 2^64), finite float64 values."""
 
@@ -151,20 +143,15 @@ class Stream:
     def __len__(self) -> int:
         return int(self.keys.shape[0])
 
-    def chunks(self, size: int = 65536) -> Iterator[tuple[list[int], list[float]]]:
-        """Plain-list windows; keeps peak Python-object overhead bounded."""
-        for start in range(0, len(self), size):
-            stop = start + size
+    def chunks(self) -> Iterator[tuple[list[int], list[float]]]:
+        """Plain-list windows of CHUNK items; keeps peak Python-object overhead bounded."""
+        for start in range(0, len(self), CHUNK):
+            stop = start + CHUNK
             yield self.keys[start:stop].tolist(), self.values[start:stop].tolist()
 
     def __iter__(self) -> Iterator[tuple[int, float]]:
         for keys, values in self.chunks():
             yield from zip(keys, values)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Stream):
-            return NotImplemented
-        return bool(np.array_equal(self.keys, other.keys) and np.array_equal(self.values, other.values))
 
     def __repr__(self) -> str:
         return f"Stream(items={len(self)})"

@@ -66,6 +66,7 @@ class SketchParams:
     """Full configuration of a composed sketch.
 
     plan_capacity splits total_memory_bytes; all randomness derives from seed.
+    quantile and tower_fraction are stored as floats, eviction_ratio as as_ratio's Fraction.
     """
 
     quantile: float = 0.5
@@ -80,9 +81,13 @@ class SketchParams:
 
     def __post_init__(self) -> None:
         check_weight(self.quantile)
+        object.__setattr__(self, "quantile", float(self.quantile))
         check_count("total_memory_bytes", self.total_memory_bytes)
-        if not isinstance(self.tower_fraction, numbers.Real) or not 0.0 < self.tower_fraction < 1.0:
-            raise ValueError(f"tower fraction must be a real number strictly inside (0, 1), got {self.tower_fraction!r}")
+        fraction = self.tower_fraction
+        # The float test catches a fraction that rounds to 0 or 1.
+        if not isinstance(fraction, numbers.Real) or not 0.0 < fraction < 1.0 or not 0.0 < float(fraction) < 1.0:
+            raise ValueError(f"tower fraction must be a real number strictly inside (0, 1), got {fraction!r}")
+        object.__setattr__(self, "tower_fraction", float(fraction))
         check_count("gate threshold", self.gate_threshold, nonnegative=True)
         # The tower's estimate never exceeds TOP_LIMIT, so a higher gate would
         # never open; resident-first routing needs it to.
@@ -99,14 +104,11 @@ class SketchParams:
 
 @dataclass(frozen=True)
 class CapacityPlan:
-    """How a byte budget was spent."""
+    """How a byte budget was spent. A bucket costs ``bucket_bytes(d, r, s)``;
+    the tower's arrays hold ``layer_counters(tower_bytes_per_array)``."""
 
     buckets: int
-    bucket_bytes: int
     tower_bytes_per_array: int
-    tower_counters: tuple[int, ...]
-    tower_bytes: int
-    value_bytes: int
     total_bytes: int
 
 
@@ -126,22 +128,15 @@ def plan_capacity(params: SketchParams) -> CapacityPlan:
     fraction = Fraction(params.tower_fraction)
     tower_budget = int(fraction * params.total_memory_bytes)
     per_array = tower_budget // len(WIDTHS)
-    counters = layer_counters(per_array)
+    layer_counters(per_array)  # raises when the arrays fit no counter
     value_budget = int((1 - fraction) * params.total_memory_bytes)
     buckets = value_budget // per_bucket
     if buckets < 1:
         raise ValueError(
             f"infeasible layout: {value_budget} bytes cannot cover one {per_bucket}-byte bucket"
         )
-    return CapacityPlan(
-        buckets=buckets,
-        bucket_bytes=per_bucket,
-        tower_bytes_per_array=per_array,
-        tower_counters=counters,
-        tower_bytes=per_array * len(WIDTHS),
-        value_bytes=buckets * per_bucket,
-        total_bytes=per_array * len(WIDTHS) + buckets * per_bucket,
-    )
+    total = per_array * len(WIDTHS) + buckets * per_bucket
+    return CapacityPlan(buckets=buckets, tower_bytes_per_array=per_array, total_bytes=total)
 
 
 class PerKeyQuantileSketch:
@@ -169,10 +164,6 @@ class PerKeyQuantileSketch:
         self._resident = self.values._resident
         self._calibrator = self.values._calibrator
 
-    @property
-    def memory_bytes(self) -> int:
-        return self.plan.total_bytes
-
     def insert(self, key: int, value: Value) -> InsertResult | None:
         """Feed one item. Returns None when the gate swallowed it.
 
@@ -193,10 +184,10 @@ class PerKeyQuantileSketch:
         """
         if type(key) is not int:
             key = as_key(key)
+        if type(value) is not float or not isfinite(value):
+            check_value(value)
         cell = self._resident.get(key)
         if cell is not None:
-            if type(value) is not float or not isfinite(value):
-                check_value(value)
             cell.vote_plus += 1
             c = cell.candidate
             r = cell._r
@@ -213,8 +204,6 @@ class PerKeyQuantileSketch:
             if len(c) >= r:
                 cell._flush()
             return _MATCHED
-        if type(value) is not float or not isfinite(value):
-            check_value(value)
         if not 0 <= key <= _MASK:
             as_key(key)  # raises the range error
         b = self.tower.admit(key, self.gate_threshold)
@@ -236,5 +225,5 @@ class PerKeyQuantileSketch:
     def __repr__(self) -> str:
         return (
             f"PerKeyQuantileSketch(w={self.params.quantile}, "
-            f"memory={self.memory_bytes}B, buckets={self.plan.buckets})"
+            f"memory={self.plan.total_bytes}B, buckets={self.plan.buckets})"
         )

@@ -11,6 +11,7 @@ the negative vote that eventually recycles a stale cell.
 """
 from __future__ import annotations
 
+import numbers
 from bisect import bisect_left, bisect_right, insort
 from enum import Enum
 from fractions import Fraction
@@ -47,23 +48,22 @@ _EVICTED = InsertOutcome.EVICTED
 def as_ratio(value) -> Fraction:
     """Normalize an eviction ratio to an exact positive Fraction.
 
-    Floats go through their shortest decimal repr, so "0.1" means one tenth
-    here even though the binary float does not; comparisons against integer
-    vote counters then multiply through with no rounding anywhere.
+    Reals that are not rational go through their shortest float repr, so "0.1"
+    means one tenth here even though the binary float does not; comparisons
+    against integer vote counters then multiply through with no rounding.
     """
     if isinstance(value, bool):
         raise ValueError(f"eviction ratio must be a number, not a bool, got {value!r}")
-    if isinstance(value, Fraction):
-        ratio = value
-    elif isinstance(value, float):
-        if not isfinite(value):
+    number = value
+    if isinstance(value, numbers.Real) and not isinstance(value, numbers.Rational):
+        number = float(value)
+        if not isfinite(number):
             raise ValueError(f"eviction ratio must be finite, got {value!r}")
-        ratio = Fraction(str(value))
-    else:
-        try:
-            ratio = Fraction(value)
-        except (TypeError, ValueError, ZeroDivisionError):
-            raise ValueError(f"eviction ratio must be a number, got {value!r}") from None
+        number = repr(number)
+    try:
+        ratio = Fraction(number)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValueError(f"eviction ratio must be a number, got {value!r}") from None
     if ratio <= 0:
         raise ValueError(f"eviction ratio must be positive, got {value!r}")
     return ratio

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -49,6 +50,17 @@ class TestRunBenchmark:
         assert d["config"]["f_eval"] == 10
         assert d["config"]["single_key"] is False
         assert d["config"]["dataset"]["key_dist"] == "zipf(1.0)"
+
+    @pytest.mark.parametrize("field, value", [
+        ("quantile", Fraction(9, 10)),
+        ("quantile", np.float32(0.9)),
+        ("tower_fraction", Fraction(1, 10)),
+        ("tower_fraction", np.float32(0.1)),
+    ])
+    def test_any_real_param_reports_as_json(self, field, value):
+        report = run_benchmark(generate(SMALL), small_params(**{field: value}), repeat=1)
+        echoed = json.loads(report.to_json())["config"]["w" if field == "quantile" else field]
+        assert echoed == float(value)
 
     def test_accuracy_fields_are_consistent(self):
         report = run_benchmark(generate(SMALL), small_params(), repeat=1)

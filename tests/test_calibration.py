@@ -150,6 +150,14 @@ class TestBlockDraws:
             assert twin.sentinel is None and twin._rng is None
             assert list(islice(twin.draws, 10)) == [1] * 10
 
+    def test_copies_where_p_rounds_to_one_draw_ones(self):
+        # Just below the median 2 - 2w rounds to 1: a sentinel side, but p = 1.
+        cal = Calibrator(0.5 - 2**-54, seed=4)
+        assert cal.sentinel == NEG_INF and cal.p == 1.0
+        for twin in (copy.deepcopy(cal), pickle.loads(pickle.dumps(cal))):
+            assert twin.sentinel == NEG_INF
+            assert list(islice(twin.draws, 10)) == [1] * 10
+
 
 class TestCalibrate:
     def test_frozen_low_weight_emission(self):

@@ -31,6 +31,7 @@ from pqsketch import (
 from pqsketch.calibration import BLOCK
 from pqsketch.hashing import child_seed, hash_key
 from pqsketch.sketch import SEED_TOWER, bucket_bytes
+from pqsketch.tower import layer_counters
 
 # Values outside the domain; 10**400 is an int too large for a float.
 NON_FINITE = [math.nan, math.inf, -math.inf, pytest.param(10**400, id="10**400")]
@@ -117,6 +118,8 @@ class TestSketchParams:
             SketchParams(tower_fraction=0.0)
         with pytest.raises(ValueError, match="tower fraction"):
             SketchParams(tower_fraction=1.0)
+        with pytest.raises(ValueError, match="tower fraction"):
+            SketchParams(tower_fraction=Fraction(10**20 - 1, 10**20))  # 1.0 as a float
         with pytest.raises(ValueError, match="gate threshold"):
             SketchParams(gate_threshold=-1)
         with pytest.raises(ValueError, match="even"):
@@ -159,6 +162,18 @@ class TestSketchParams:
         with pytest.raises(ValueError, match="tower fraction"):
             SketchParams(tower_fraction=fraction)
 
+    @pytest.mark.parametrize("w", [Fraction(9, 10), np.float32(0.9), 1])
+    def test_quantile_is_stored_as_a_float(self, w):
+        params = SketchParams(quantile=w)
+        assert type(params.quantile) is float and params.quantile == float(w)
+
+    @pytest.mark.parametrize("fraction", [Fraction(1, 10), np.float32(0.1)])
+    def test_tower_fraction_is_stored_as_a_float(self, fraction):
+        params = SketchParams(tower_fraction=fraction)
+        assert type(params.tower_fraction) is float and params.tower_fraction == float(fraction)
+        # A sketch builds: the plan reads the fraction through Fraction().
+        assert PerKeyQuantileSketch(params).plan.total_bytes <= params.total_memory_bytes
+
 
 class TestPlanCapacity:
     def test_default_plan_hand_checked(self):
@@ -166,11 +181,11 @@ class TestPlanCapacity:
         # buckets. Totals stay within the budget.
         plan = plan_capacity(SketchParams())
         assert plan.tower_bytes_per_array == 17066
-        assert plan.tower_counters == (34132, 17066, 8533)
-        assert plan.bucket_bytes == 1726
+        assert layer_counters(plan.tower_bytes_per_array) == (34132, 17066, 8533)
+        assert bucket_bytes(7, 16, 10) == 1726
         assert plan.buckets == 266
-        assert plan.tower_bytes == 51198
-        assert plan.value_bytes == 459116
+        assert 3 * plan.tower_bytes_per_array == 51198
+        assert plan.buckets * bucket_bytes(7, 16, 10) == 459116
         assert plan.total_bytes == 510314
         assert plan.total_bytes <= 512_000
 
@@ -204,10 +219,10 @@ class TestPlanCapacity:
             assume(False)
         assert plan.total_bytes <= total
         assert plan.buckets >= 1
-        assert min(plan.tower_counters) >= 1
+        assert min(layer_counters(plan.tower_bytes_per_array)) >= 1
         frac = Fraction(q)
-        assert plan.tower_bytes <= int(frac * total)
-        assert plan.value_bytes <= int((1 - frac) * total)
+        assert 3 * plan.tower_bytes_per_array <= int(frac * total)
+        assert plan.buckets * bucket_bytes(d, r, s) <= int((1 - frac) * total)
 
 
 class TestGate:
@@ -419,7 +434,7 @@ def placement_bucket(sketch, key):
     n0 n1 n2 u <= 2^(bits - 10); otherwise one more hash does, under the
     tower seed's second child.
     """
-    n0, n1, n2 = sketch.plan.tower_counters
+    n0, n1, n2 = (counters for counters, _, _ in sketch.tower._layers)
     u = sketch.plan.buckets
     tower_seed = child_seed(sketch.params.seed, SEED_TOWER)
     x, bits = hash_key(key, child_seed(tower_seed, 0)), 64
@@ -575,9 +590,10 @@ class TestComposedSketch:
     def test_memory_accounting_matches_plan(self):
         params = SketchParams(total_memory_bytes=200_000)
         sk = PerKeyQuantileSketch(params)
-        assert sk.memory_bytes == sk.plan.total_bytes
-        assert sk.memory_bytes <= 200_000
-        assert [layer[0] for layer in sk.tower._layers] == list(sk.plan.tower_counters)
+        plan = sk.plan
+        assert plan.total_bytes == 3 * plan.tower_bytes_per_array + plan.buckets * bucket_bytes(7, 16, 10)
+        assert plan.total_bytes <= 200_000
+        assert tuple(layer[0] for layer in sk.tower._layers) == layer_counters(plan.tower_bytes_per_array)
 
     def test_deterministic_replay(self):
         params = SketchParams(total_memory_bytes=60_000, gate_threshold=3, seed=11)

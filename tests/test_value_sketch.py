@@ -50,13 +50,17 @@ class TestAsRatio:
     def test_float_uses_decimal_reading(self):
         assert as_ratio(0.1) == Fraction(1, 10)
         assert as_ratio(2.5) == Fraction(5, 2)
+        # Any real that is not rational is read as a Python float.
+        assert as_ratio(np.float32(4.0)) == Fraction(4)
+        assert as_ratio(np.float32(2.5)) == Fraction(5, 2)
+        assert SketchParams(eviction_ratio=np.float32(4.0)).eviction_ratio == Fraction(4)
 
     def test_string_parses(self):
         assert as_ratio("2.5") == Fraction(5, 2)
         assert as_ratio("1/3") == Fraction(1, 3)
 
     def test_rejects_non_positive_and_non_finite(self):
-        for bad in (0, -1, -0.5, float("inf"), float("nan")):
+        for bad in (0, -1, -0.5, float("inf"), float("nan"), np.float32("inf")):
             with pytest.raises(ValueError):
                 as_ratio(bad)
 
