@@ -103,44 +103,47 @@ class PointEstimator:
         c.clear()
 
     def query(self) -> Value:
-        """Current estimate: the lower median of the representative.
-
-        If that median is a calibration sentinel, its nearest finite neighbor
-        in sorted order is returned instead. A representative with no finite
-        value leaves the answer to the candidate's n finite values: their
-        w-quantile, at sorted index ceil(w (n - 1) - 1/2), which rounds half
-        down, so w = 0.5 gives the lower median and a short stream still gets
-        its exact quantile back.
-
-        :raises ValueError: "insufficient data" while both buffers are empty
-            (before any insert); "degenerate estimate" if only sentinels remain,
-            which inserts never bring about (see _flush), only buffers set by hand.
-        """
-        return self._answer(sorted(self.representative))
-
-    def _answer(self, ordered: list[Value]) -> Value:
-        if ordered:
-            idx = (len(ordered) - 1) >> 1
-            v = ordered[idx]
-            if math.isfinite(v):
-                return v
-            if v == NEG_INF:
-                scan = range(idx + 1, len(ordered))
-            else:
-                scan = range(idx - 1, -1, -1)
-            for j in scan:
-                if math.isfinite(ordered[j]):
-                    return ordered[j]
-        finite = [x for x in self.candidate if math.isfinite(x)]
-        if finite:
-            finite.sort()
-            return finite[math.ceil(self._calibrator.w * (len(finite) - 1) - 0.5)]
-        if not (ordered or self.candidate):
-            raise ValueError("insufficient data: no finite values inserted")
-        raise ValueError("degenerate estimate: only sentinels retained")
+        """Current estimate: ``answer`` over the sorted representative."""
+        return answer(sorted(self.representative), self.candidate, self._calibrator.w)
 
     def __repr__(self) -> str:
         return (
             f"PointEstimator(r={self._r}, s={self._s}, "
             f"candidate={len(self.candidate)}, representative={len(self.representative)})"
         )
+
+
+def answer(ordered, candidate: list[Value], w: float) -> Value:
+    """The estimate of a representative, sorted as ``ordered``, and its candidate.
+
+    The answer is the lower median of ``ordered``. If that median is a
+    calibration sentinel, its nearest finite neighbor in sorted order is
+    returned instead. A representative with no finite value leaves the answer
+    to the candidate's n finite values: their w-quantile, at sorted index
+    ceil(w (n - 1) - 1/2), which rounds half down, so w = 0.5 gives the lower
+    median and a short stream still gets its exact quantile back.
+
+    :raises ValueError: "insufficient data" while both buffers are empty
+        (before any insert); "degenerate estimate" if only sentinels remain,
+        which inserts never bring about (see ``PointEstimator._flush``), only
+        buffers set by hand.
+    """
+    if ordered:
+        idx = (len(ordered) - 1) >> 1
+        v = ordered[idx]
+        if math.isfinite(v):
+            return v
+        if v == NEG_INF:
+            scan = range(idx + 1, len(ordered))
+        else:
+            scan = range(idx - 1, -1, -1)
+        for j in scan:
+            if math.isfinite(ordered[j]):
+                return ordered[j]
+    finite = [x for x in candidate if math.isfinite(x)]
+    if finite:
+        finite.sort()
+        return finite[math.ceil(w * (len(finite) - 1) - 0.5)]
+    if not (ordered or candidate):
+        raise ValueError("insufficient data: no finite values inserted")
+    raise ValueError("degenerate estimate: only sentinels retained")

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite
 
+from .estimator import answer
 from .hashing import _MASK, as_key, check_seed, child_seed
 from .quantiles import Value, check_count, check_value, check_weight
 from .tower import TOP_LIMIT, WIDTHS, TowerFilter, layer_counters
@@ -163,6 +164,7 @@ class PerKeyQuantileSketch:
         # never its draws iterator: a copy rebuilds that iterator.
         self._resident = self.values._resident
         self._calibrator = self.values._calibrator
+        self._r = self.values._r
 
     def insert(self, key: int, value: Value) -> InsertResult | None:
         """Feed one item. Returns None when the gate swallowed it.
@@ -172,7 +174,7 @@ class PerKeyQuantileSketch:
         counters only grow and a saturated counter only leaves the min. The
         matched step (vote, calibration draw, sentinels, push) runs on the
         cell in this frame, an inline copy of ``ValueSketch.insert``'s matched
-        branch and ``PointEstimator.insert``; TestResidentFirst in
+        branch and ``ValueSketch._push``; TestResidentFirst in
         tests/test_sketch.py pins the copies together.
 
         Any other key takes one ``TowerFilter.admit`` step, which counts it
@@ -190,7 +192,7 @@ class PerKeyQuantileSketch:
         if cell is not None:
             cell.vote_plus += 1
             c = cell.candidate
-            r = cell._r
+            r = self._r
             cal = self._calibrator
             sentinel = cal.sentinel
             if sentinel is not None:
@@ -199,10 +201,10 @@ class PerKeyQuantileSketch:
                     z -= 1
                     c.append(sentinel)
                     if len(c) >= r:
-                        cell._flush()
+                        self.values._flush(cell)
             c.append(value)
             if len(c) >= r:
-                cell._flush()
+                self.values._flush(cell)
             return _MATCHED
         if not 0 <= key <= _MASK:
             as_key(key)  # raises the range error
@@ -212,11 +214,17 @@ class PerKeyQuantileSketch:
         return self.values._place(key, value, b)
 
     def query(self, key: int) -> Value:
-        """Quantile estimate for a tracked key; errors as ``ValueSketch.query``."""
+        """Quantile estimate for a tracked key; errors as ``ValueSketch.query``.
+
+        Reads a finite lower median by index; any other case goes to ``answer``.
+        """
         if type(key) is int:
             cell = self._resident.get(key)
             if cell is not None:
-                return cell.query()
+                rep = cell.representative
+                if rep and isfinite(v := rep[(len(rep) - 1) >> 1]):
+                    return v
+                return answer(rep, cell.candidate, self._calibrator.w)
         return self.values.query(key)
 
     def tracked_keys(self) -> list[int]:

@@ -12,6 +12,7 @@ the negative vote that eventually recycles a stale cell.
 from __future__ import annotations
 
 import numbers
+from array import array
 from bisect import bisect_left, bisect_right, insort
 from enum import Enum
 from fractions import Fraction
@@ -19,7 +20,7 @@ from math import isfinite
 from typing import Callable, NamedTuple
 
 from .calibration import Calibrator
-from .estimator import PointEstimator
+from .estimator import answer
 from .hashing import as_key, check_seed, hash_key
 from .quantiles import NEG_INF, POS_INF, Value, check_count, check_value
 
@@ -69,42 +70,32 @@ def as_ratio(value) -> Fraction:
     return ratio
 
 
-class Cell(PointEstimator):
-    """A key's cell: the key's estimator itself, plus the key and its positive vote.
+class Cell:
+    """A key's cell: the key, its positive vote and a ``PointEstimator``'s two buffers.
 
-    A cell keeps its representative sorted: its query reads the lower median
-    by index, and its flush drops or repairs entries at the ends only.
-    ``PointEstimator`` keeps append order, which criterion 1 of
-    tests/test_acceptance.py reads after a flush; tests hold cells to it.
+    The candidate is a list; the representative an ``array("d")`` kept
+    sorted, so it answers in float64, by index. r, s, the calibrator and the
+    rules on the buffers are ``ValueSketch``'s, held once. ``PointEstimator``
+    keeps append order, which criterion 1 of tests/test_acceptance.py reads.
     """
 
-    __slots__ = ("key", "vote_plus")
+    __slots__ = ("key", "vote_plus", "candidate", "representative")
 
-    def __init__(self, key: int, vote_plus: int, r: int, s: int, calibrator: Calibrator) -> None:
-        super().__init__(r, s, calibrator)
+    def __init__(self, key: int, vote_plus: int) -> None:
         self.key = key
         self.vote_plus = vote_plus
+        self.candidate: list[Value] = []
+        self.representative = array("d")
 
-    def _flush(self) -> None:
-        c = self.candidate
-        c.sort()
-        half = self._r >> 1
-        rep = self.representative
-        insort(rep, c[half - 1])
-        insort(rep, c[half])
-        if len(rep) > self._s:
-            del rep[0], rep[-1]
-        if rep[0] == POS_INF and c[0] != POS_INF:
-            rep[0] = c[bisect_left(c, POS_INF) - 1]
-        elif rep[-1] == NEG_INF and c[-1] != NEG_INF:
-            rep[-1] = c[bisect_right(c, NEG_INF)]
-        c.clear()
-
-    def query(self) -> Value:
-        rep = self.representative
-        if rep and isfinite(v := rep[(len(rep) - 1) >> 1]):
-            return v
-        return self._answer(rep)
+    def __deepcopy__(self, memo) -> Cell:
+        # The fields hold numbers only. Copying them directly, not through
+        # __reduce_ex__'s slot-state dict, leaves no freed dicts behind.
+        cell = Cell.__new__(Cell)
+        cell.key = self.key
+        cell.vote_plus = self.vote_plus
+        cell.candidate = self.candidate[:]
+        cell.representative = self.representative[:]
+        return cell
 
     @property
     def estimator(self) -> Cell:
@@ -194,7 +185,7 @@ class ValueSketch:
 
     def _new_cell(self, key: int, bucket_index: int) -> Cell:
         # The caller puts the cell into an empty slot of bucket bucket_index.
-        cell = Cell(key, 1, self._r, self._s, self._calibrator)
+        cell = Cell(key, 1)
         self._resident[key] = cell
         self._room[bucket_index] -= 1
         return cell
@@ -211,14 +202,71 @@ class ValueSketch:
         """
         if type(key) is not int:
             key = as_key(key)
+        if type(value) is not float or not isfinite(value):
+            check_value(value)
         cell = self._resident.get(key)
         if cell is not None:
-            cell.insert(value)
+            self._push(cell, value)
             cell.vote_plus += 1
             return _MATCHED
-        check_value(value)
         as_key(key)
         return self._place(key, value, self.bucket_of(key))
+
+    def _push(self, cell: Cell, value: Value) -> None:
+        """``PointEstimator.insert`` on a cell, for a checked value.
+
+        The reference copy of the push that ``PerKeyQuantileSketch.insert`` inlines.
+        """
+        c = cell.candidate
+        r = self._r
+        cal = self._calibrator
+        sentinel = cal.sentinel
+        if sentinel is not None:
+            z = next(cal.draws)
+            while z > 1:
+                z -= 1
+                c.append(sentinel)
+                if len(c) >= r:
+                    self._flush(cell)
+        c.append(value)
+        if len(c) >= r:
+            self._flush(cell)
+
+    def _flush(self, cell: Cell) -> None:
+        """``PointEstimator._flush`` on a sorted representative, pair inserted by bisection.
+
+        Full, the s + 2 values lose their min and max. A split on the ends
+        moves only what changes: lo below the first is the min, and hi at or
+        above the last the max.
+        """
+        c = cell.candidate
+        c.sort()
+        half = self._r >> 1
+        lo = c[half - 1]
+        hi = c[half]
+        rep = cell.representative
+        if len(rep) < self._s:
+            insort(rep, lo)
+            insort(rep, hi)
+        elif lo < rep[0]:
+            if hi < rep[-1]:
+                del rep[-1]
+                insort(rep, hi)
+        elif hi < rep[-1]:
+            del rep[0], rep[-1]
+            insort(rep, lo)
+            insort(rep, hi)
+        else:
+            del rep[0]
+            insort(rep, lo)
+        # PointEstimator._flush's sentinel repair, read at the sorted ends.
+        if hi == POS_INF:
+            if rep[0] == POS_INF and c[0] != POS_INF:
+                rep[0] = c[bisect_left(c, POS_INF) - 1]
+        elif lo == NEG_INF:
+            if rep[-1] == NEG_INF and c[-1] != NEG_INF:
+                rep[-1] = c[bisect_right(c, NEG_INF)]
+        c.clear()
 
     def _place(self, key: int, value: Value, bucket_index: int) -> InsertResult:
         """Claim a cell of bucket bucket_index for a checked key without one, evict for it, or reject it.
@@ -237,7 +285,7 @@ class ValueSketch:
         if self._room[bucket_index]:
             cell = self._new_cell(key, bucket_index)
             cells[cells.index(None)] = cell
-            cell.insert(value)
+            self._push(cell, value)
             return _PLACED
         vote_minus = bucket.vote_minus + 1
         bucket.vote_minus = vote_minus
@@ -262,8 +310,9 @@ class ValueSketch:
         bucket.vote_minus = 0
         floors[bucket_index] = 1
         victim.candidate.clear()
-        victim.representative.clear()
-        victim.insert(value)
+        # array has no clear() before Python 3.13.
+        del victim.representative[:]
+        self._push(victim, value)
         return tuple.__new__(InsertResult, (_EVICTED, evicted_key))
 
     def query(self, key: int) -> Value:
@@ -277,7 +326,7 @@ class ValueSketch:
         if cell is None:
             as_key(key)  # raises the range error
             raise KeyError(f"key {key!r} not tracked")
-        return cell.query()
+        return answer(cell.representative, cell.candidate, self._calibrator.w)
 
     def keys(self) -> list[int]:
         """Keys of all occupied cells, in the order they claimed their cells."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -129,7 +130,7 @@ class TestRunBenchmark:
                     for key in spoiled:
                         est = self.values._resident[key].estimator
                         est.candidate[:] = []
-                        est.representative[:] = [POS_INF, POS_INF]
+                        est.representative[:] = array("d", [POS_INF, POS_INF])
                 return keys
 
         monkeypatch.setattr(bench, "PerKeyQuantileSketch", SpoiledSketch)

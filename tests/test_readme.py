@@ -2,7 +2,7 @@
 
 Prose drifts from the code it describes. These are the figures a test can
 recompute: the plan at the defaults, the `bench` flag defaults, and the
-real-memory factor that TestRealMemory gates.
+memory factors that TestRealMemory and TestLiveMemory gate.
 """
 from __future__ import annotations
 
@@ -60,3 +60,9 @@ def test_real_memory_factor_is_the_gated_one():
     m = re.search(r"holds both fills within ([\d.]+)\s+times the accounted bytes", README)
     assert m is not None, "the README no longer states the real-memory factor"
     assert float(m.group(1)) == pytest.approx(test_sketch.TestRealMemory.FACTOR)
+
+
+def test_live_memory_factor_is_the_gated_one():
+    m = re.search(r"holds\s+both\s+live\s+fills\s+within\s+([\d.]+)\s+times\s+the\s+accounted\s+bytes", README)
+    assert m is not None, "the README no longer states the live-memory factor"
+    assert float(m.group(1)) == pytest.approx(test_sketch.TestLiveMemory.FACTOR)

@@ -374,7 +374,7 @@ class TestKeys:
         sk = PerKeyQuantileSketch(SketchParams(quantile=0.9, gate_threshold=0))
         for value in (1.0, 2.0, 3.0):
             sk.insert(5, value)
-        calibrator = sk.values._resident[5].estimator._calibrator
+        calibrator = sk.values._calibrator
         before = cell_state(sk.values, 5)
         whole = copy.deepcopy(sketch_state(sk))
         twin = copy.deepcopy(calibrator)
@@ -417,6 +417,24 @@ class TestKeys:
             assert sk.query(np.uint64(1)) == sk.query(1) == 4.0
         with pytest.raises(KeyError, match="not tracked"):
             sk.query(2)
+
+
+class TestFloat64Answers:
+    """A representative holds float64s, so an answer read from it is rounded."""
+
+    @pytest.mark.parametrize("value, rounded", [(2**53 + 1, 2.0**53), (Fraction(1, 3), 1 / 3)])
+    def test_answers_are_rounded_to_float64(self, value, rounded):
+        assert rounded != value
+        sk = PerKeyQuantileSketch(SketchParams(gate_threshold=0))
+        # Before the first flush the candidate answers with the inserted object.
+        sk.insert(1, value)
+        assert sk.query(1) == value and type(sk.query(1)) is type(value)
+        # r = 16 inserts flush once, and the pair enters the representative.
+        for _ in range(15):
+            sk.insert(1, value)
+        assert list(sk.values._resident[1].representative) == [rounded, rounded]
+        for answer in (sk.query(1), sk.values.query(1)):
+            assert type(answer) is float and answer == rounded
 
 
 def cell_state(values, key):
@@ -513,6 +531,9 @@ class TestResidentFirst:
             opened = now_open
             assert set(reference.tracked_keys()) <= opened
         assert sketch_state(fast) == sketch_state(reference)
+        # The sketch reads a cell's answer in its own frame; ValueSketch.query is the reference.
+        for key in fast.tracked_keys():
+            assert fast.query(key) == reference.values.query(key)
 
 
 # One layout per placement regime (see TowerFilter.admit): the default, where
@@ -633,12 +654,17 @@ class TestComposedSketch:
 
 
 @pytest.fixture(scope="module")
-def default_stream_lists():
-    """The default 1M-item synthetic stream as plain lists, built before any tracing."""
+def default_stream():
+    """The default 1M-item synthetic stream, built before any tracing."""
     from pqsketch.datagen import StreamSpec, generate
 
-    stream = generate(StreamSpec())
-    return stream.keys.tolist(), stream.values.tolist()
+    return generate(StreamSpec())
+
+
+@pytest.fixture(scope="module")
+def default_stream_lists(default_stream):
+    """The default stream as plain lists, built before any tracing."""
+    return default_stream.keys.tolist(), default_stream.values.tolist()
 
 
 class TestCopies:
@@ -689,4 +715,35 @@ class TestRealMemory:
         # they were allocated before tracing and are not counted.
         assert traced <= self.FACTOR * sk.plan.total_bytes, (
             f"{traced} traced bytes against {sk.plan.total_bytes} accounted"
+        )
+
+
+class TestLiveMemory:
+    """The live footprint: the key and value objects that cells keep count too.
+
+    Each CHUNK-item window's lists are built inside the traced window and
+    dropped after it, as a live stream's would be, so only what the sketch
+    keeps of them stays traced. FACTOR sits above the measured 2.38 (w = 0.5)
+    and 2.23 (w = 0.9) times the accounted bytes.
+    """
+
+    FACTOR = 2.5
+
+    @pytest.mark.parametrize("w", [0.5, 0.9])
+    def test_filled_default_sketch_stays_near_its_budget_live(self, default_stream, w):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            sk = PerKeyQuantileSketch(SketchParams(quantile=w))
+            insert = sk.insert
+            for keys, values in default_stream.chunks():
+                for key, value in zip(keys, values):
+                    insert(key, value)
+            del keys, values
+            gc.collect()
+            traced, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert traced <= self.FACTOR * sk.plan.total_bytes, (
+            f"{traced} live bytes against {sk.plan.total_bytes} accounted"
         )

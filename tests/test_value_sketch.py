@@ -3,7 +3,10 @@ from __future__ import annotations
 
 import random
 import warnings
+from array import array
+from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from pqsketch import (
     collision_probability,
     rank_error,
 )
+from pqsketch.estimator import answer as estimator_answer
 from pqsketch.value_sketch import Cell, as_ratio
 
 
@@ -234,16 +238,78 @@ class TestSortedRepresentative:
         ),
     )
     def test_cell_agrees_with_a_point_estimator(self, w, r, s, seed, values):
-        cell = Cell(1, 1, r, s, Calibrator(w, seed))
+        # One cell in one bucket: key 1 is placed once and matched after.
+        vs = ValueSketch(1, 1, candidate_capacity=r, representative_capacity=s, quantile=w, seed=seed)
         ref = PointEstimator(r, s, Calibrator(w, seed))
-        assert answer(cell.query) == answer(ref.query)
+        empty = Cell(1, 1)
+        assert answer(lambda: estimator_answer(empty.representative, empty.candidate, w)) == answer(ref.query)
         for value in values:
-            cell.insert(value)
+            vs.insert(1, value)
             ref.insert(value)
+            cell = vs._resident[1]
             assert cell.candidate == ref.candidate
             # == holds 0.0 and -0.0 equal: equal extremes may leave either.
-            assert cell.representative == sorted(ref.representative)
-            assert answer(cell.query) == answer(ref.query)
+            assert list(cell.representative) == sorted(ref.representative)
+            assert answer(lambda: vs.query(1)) == answer(ref.query)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        r=st.sampled_from([2, 4, 6]),
+        s=st.sampled_from([2, 4, 6]),
+        data=st.data(),
+    )
+    def test_case_split_is_insort_then_trim_bit_for_bit(self, r, s, data):
+        # Ties, both zeros and both sentinel signs, so every branch meets
+        # equal ends and either repair.
+        pool = st.sampled_from([-0.0, 0.0, 1.0, -2.5, POS_INF, -POS_INF])
+        size = data.draw(st.sampled_from(range(0, s + 1, 2)))
+        rep = sorted(data.draw(st.lists(pool, min_size=size, max_size=size)))
+        batch = data.draw(st.lists(pool, min_size=r, max_size=r))
+        vs = ValueSketch(1, 1, candidate_capacity=r, representative_capacity=s)
+        cell = Cell(1, 1)
+        cell.representative = array("d", rep)
+        cell.candidate = batch[:]
+        vs._flush(cell)
+        c = sorted(batch)
+        lo, hi = c[r // 2 - 1], c[r // 2]
+        model = rep[:]
+        insort(model, lo)
+        insort(model, hi)
+        if len(model) > s:
+            del model[0], model[-1]
+        # PointEstimator._flush's repair: only on the sentinel the pair holds.
+        if hi == POS_INF:
+            if model[0] == POS_INF and c[0] != POS_INF:
+                model[0] = c[bisect_left(c, POS_INF) - 1]
+        elif lo == -POS_INF:
+            if model[-1] == -POS_INF and c[-1] != -POS_INF:
+                model[-1] = c[bisect_right(c, -POS_INF)]
+        assert [v.hex() for v in cell.representative] == [float(v).hex() for v in model]
+        assert cell.candidate == []
+
+    # A full representative [1, 2, 3, 4] (s = 4) and a pair (lo, hi) from
+    # r = 2, one case per branch of the flush's split on its ends a = 1, b = 4.
+    @pytest.mark.parametrize(
+        "pair, after",
+        [
+            ((0.0, 5.0), [1.0, 2.0, 3.0, 4.0]),  # lo < a, hi >= b: unchanged
+            ((0.0, 2.5), [1.0, 2.0, 2.5, 3.0]),  # lo < a, hi < b: b out, hi in
+            ((1.5, 2.5), [1.5, 2.0, 2.5, 3.0]),  # lo >= a, hi < b: both ends out, both in
+            ((2.5, 9.0), [2.0, 2.5, 3.0, 4.0]),  # lo >= a, hi >= b: a out, lo in
+        ],
+        ids=["lo-below-hi-above", "lo-below", "both-inside", "hi-above"],
+    )
+    def test_each_branch_of_the_full_flush(self, pair, after):
+        vs = ValueSketch(1, 1, candidate_capacity=2, representative_capacity=4)
+        cell = Cell(1, 1)
+        cell.representative = array("d", [1.0, 2.0, 3.0, 4.0])
+        cell.candidate = list(pair)
+        ref = PointEstimator(2, 4)
+        ref.representative = [1.0, 2.0, 3.0, 4.0]
+        ref.candidate = list(pair)
+        vs._flush(cell)
+        ref._flush()
+        assert list(cell.representative) == after == sorted(ref.representative)
 
 
 class ScanningModel:
@@ -300,7 +366,7 @@ def sketch_state(vs):
         (
             bucket.vote_minus,
             [
-                None if c is None else (c.key, c.vote_plus, c.estimator.candidate, c.estimator.representative)
+                None if c is None else (c.key, c.vote_plus, c.estimator.candidate, list(c.estimator.representative))
                 for c in bucket.cells
             ],
         )
@@ -393,7 +459,8 @@ class TestResidentIndex:
             assert vs._resident == held
             for probe in probes:
                 if probe in held:
-                    assert vs.query(probe) == held[probe].estimator.query()
+                    cell = held[probe]
+                    assert vs.query(probe) == estimator_answer(cell.representative, cell.candidate, vs._calibrator.w)
                 else:
                     with pytest.raises(KeyError, match="not tracked"):
                         vs.query(probe)
@@ -428,7 +495,7 @@ class TestKeys:
         with pytest.raises(TypeError):
             vs.insert(5.0, 2.0)
         assert cell.vote_plus == 1
-        assert cell.estimator.candidate == [1.0] and cell.estimator.representative == []
+        assert cell.estimator.candidate == [1.0] and list(cell.estimator.representative) == []
 
     def test_bool_key_raises(self):
         vs = ValueSketch(buckets=8, cells_per_bucket=2, seed=1)
@@ -513,7 +580,6 @@ class TestPlacement:
         vs.insert(1, 1.0)
         vs.insert(2, 1.0)
         cells = vs.buckets[0].cells
-        assert cells[0].estimator._calibrator is cells[1].estimator._calibrator is vs._calibrator
         assert cells[0].estimator.candidate == [POS_INF] * (z1 - 1) + [1.0]
         assert cells[1].estimator.candidate == [POS_INF] * (z2 - 1) + [1.0]
         assert next(vs._calibrator.draws) == z3
@@ -537,8 +603,7 @@ class TestPlacement:
         assert vs._resident == {2: cell}
         # Nothing of key 1 is left, and the draws continue the stream.
         estimator = cell.estimator
-        assert estimator._calibrator is vs._calibrator
-        assert estimator.representative == []
+        assert list(estimator.representative) == []
         assert estimator.candidate == [POS_INF] * (zs[held] - 1) + [1.0]
         assert next(vs._calibrator.draws) == zs[held + 1]
 
@@ -549,8 +614,13 @@ class TestPlacement:
         # Eviction ratio 1 over 23 keys for 8 cells: cells are reclaimed too.
         assert len(vs.keys()) == 8
         assert sum(r.outcome is InsertOutcome.EVICTED for r in results) > 0
-        assert all(cell.estimator._calibrator is vs._calibrator for cell in vs._resident.values())
+        # A cell holds no calibrator, and each push (every item not
+        # rejected) took one draw from the sketch's, which stands just past them.
+        assert not any(hasattr(cell, "_calibrator") for cell in vs._resident.values())
         assert vs._calibrator.w == w
+        pushes = sum(r.outcome is not InsertOutcome.REJECTED for r in results)
+        stream = Calibrator(w, seed=3).draws
+        assert list(islice(vs._calibrator.draws, 50)) == list(islice(stream, pushes, pushes + 50))
 
 
 class TestEndToEnd:
