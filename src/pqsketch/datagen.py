@@ -239,10 +239,12 @@ def parse_stream_spec(text: str, seed: int = 1) -> StreamSpec:
     if unknown:
         raise ValueError(f"unknown stream spec fields {sorted(unknown)} (expected {sorted(known)})")
     kwargs: dict = {"seed": seed}
-    if "n_items" in fields:
-        kwargs["n_items"] = int(fields["n_items"])
-    if "n_keys" in fields:
-        kwargs["n_keys"] = int(fields["n_keys"])
+    for name in ("n_items", "n_keys"):
+        if name in fields:
+            try:
+                kwargs[name] = int(fields[name])
+            except ValueError:
+                raise ValueError(f"stream spec field {name} is not a decimal integer: {fields[name]!r}") from None
     if "key_dist" in fields:
         kwargs["key_dist"] = _parse_dist(fields["key_dist"], _KEY_KINDS)
     if "value_dist" in fields:

@@ -48,10 +48,7 @@ class PointEstimator:
         self.representative: list[Value] = []
 
     def insert(self, value: Value) -> None:
-        """Insert one finite value, expanding it through the calibrator.
-
-        The reference copy of the push that ``PerKeyQuantileSketch.insert`` inlines.
-        """
+        """Insert one finite value, expanding it through the calibrator."""
         if type(value) is not float or not math.isfinite(value):
             check_value(value)
         # Candidate stays strictly below capacity between operations: the

@@ -1,10 +1,10 @@
-"""The composed per-key sketch: frequency gate in front, value sketch behind.
+"""The composed per-key sketch: the value sketch's key table with the counter tower as its gate.
 
-A key's values are dropped until the counter tower has seen it T times, so
-the value sketch's cells are never wasted on one-off keys: its first T values
-are the admission fee and are not recoverable. Capacity planning splits one
-byte budget between the two stages and predicts how likely a bucket is to
-see more keys than it has cells.
+A key's values are dropped until the tower has seen it T times, so the
+table's cells are never wasted on one-off keys: its first T values are the
+admission fee and are not recoverable. Capacity planning splits one byte
+budget between the two stages and predicts how likely a bucket is to see
+more keys than it has cells.
 """
 from __future__ import annotations
 
@@ -12,13 +12,11 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite
 
-from .estimator import answer
-from .hashing import _MASK, as_key, check_seed, child_seed
-from .quantiles import Value, check_count, check_value, check_weight
+from .hashing import check_seed, child_seed
+from .quantiles import check_count, check_weight
 from .tower import TOP_LIMIT, WIDTHS, TowerFilter, layer_counters
-from .value_sketch import _MATCHED, InsertResult, ValueSketch, as_ratio
+from .value_sketch import ValueSketch, as_ratio
 
 # Accounted bytes per tracked cell: an 8-byte key, a 4-byte positive vote, and
 # 9 bytes (8-byte value + tag byte) per buffered entry across both estimator
@@ -140,17 +138,18 @@ def plan_capacity(params: SketchParams) -> CapacityPlan:
     return CapacityPlan(buckets=buckets, tower_bytes_per_array=per_array, total_bytes=total)
 
 
-class PerKeyQuantileSketch:
-    """Frequency-gated per-key quantile estimation under one byte budget."""
+class PerKeyQuantileSketch(ValueSketch):
+    """Frequency-gated per-key quantile estimation under one byte budget.
+
+    The key table of ``ValueSketch``, sized by ``plan_capacity``, with the
+    counter tower as its gate at T = ``params.gate_threshold``.
+    """
 
     def __init__(self, params: SketchParams) -> None:
         self.params = params
         plan = plan_capacity(params)
         self.plan = plan
-        self.tower = TowerFilter(
-            plan.tower_bytes_per_array, seed=child_seed(params.seed, SEED_TOWER), buckets=plan.buckets
-        )
-        self.values = ValueSketch(
+        super().__init__(
             plan.buckets,
             params.cells_per_bucket,
             eviction_ratio=params.eviction_ratio,
@@ -159,76 +158,11 @@ class PerKeyQuantileSketch:
             quantile=params.quantile,
             seed=child_seed(params.seed, SEED_VALUES),
         )
+        self.tower = TowerFilter(
+            plan.tower_bytes_per_array, seed=child_seed(params.seed, SEED_TOWER), buckets=plan.buckets
+        )
+        self._admit = self.tower.admit
         self.gate_threshold = params.gate_threshold
-        # Aliases for the matched step in insert(). The calibrator is kept,
-        # never its draws iterator: a copy rebuilds that iterator.
-        self._resident = self.values._resident
-        self._calibrator = self.values._calibrator
-        self._r = self.values._r
-
-    def insert(self, key: int, value: Value) -> InsertResult | None:
-        """Feed one item. Returns None when the gate swallowed it.
-
-        Resident first: a key that holds a cell is fed without a tower step.
-        Its gate opened before it was placed and never closes, because
-        counters only grow and a saturated counter only leaves the min. The
-        matched step (vote, calibration draw, sentinels, push) runs on the
-        cell in this frame, an inline copy of ``ValueSketch.insert``'s matched
-        branch and ``ValueSketch._push``; TestResidentFirst in
-        tests/test_sketch.py pins the copies together.
-
-        Any other key takes one ``TowerFilter.admit`` step, which counts it
-        only while its gate is shut, and once admitted goes straight to
-        ``ValueSketch._place``, in the bucket that step returns.
-
-        Keys follow ``as_key`` and values ``check_value``, gated or not, and
-        both are checked before anything changes.
-        """
-        if type(key) is not int:
-            key = as_key(key)
-        if type(value) is not float or not isfinite(value):
-            check_value(value)
-        cell = self._resident.get(key)
-        if cell is not None:
-            cell.vote_plus += 1
-            c = cell.candidate
-            r = self._r
-            cal = self._calibrator
-            sentinel = cal.sentinel
-            if sentinel is not None:
-                z = next(cal.draws)
-                while z > 1:
-                    z -= 1
-                    c.append(sentinel)
-                    if len(c) >= r:
-                        self.values._flush(cell)
-            c.append(value)
-            if len(c) >= r:
-                self.values._flush(cell)
-            return _MATCHED
-        if not 0 <= key <= _MASK:
-            as_key(key)  # raises the range error
-        b = self.tower.admit(key, self.gate_threshold)
-        if b is None:
-            return None
-        return self.values._place(key, value, b)
-
-    def query(self, key: int) -> Value:
-        """Quantile estimate for a tracked key; errors as ``ValueSketch.query``.
-
-        Reads a finite lower median by index; any other case goes to ``answer``.
-        """
-        if type(key) is int:
-            cell = self._resident.get(key)
-            if cell is not None:
-                rep = cell.representative
-                if rep and isfinite(v := rep[(len(rep) - 1) >> 1]):
-                    return v
-                return answer(rep, cell.candidate, self._calibrator.w)
-        return self.values.query(key)
-
-    def tracked_keys(self) -> list[int]:
-        return self.values.keys()
 
     def __repr__(self) -> str:
         return (

@@ -1,13 +1,14 @@
-"""Hashed buckets of per-key estimators with vote-based eviction.
+"""Hashed buckets of per-key estimators with vote-based eviction, behind a gate.
 
-Keys hash to one bucket of d cells; each occupied cell is the point estimator
-of one key. A matching insert feeds that estimator and strengthens the cell's
-vote. When a key finds its bucket full, the bucket accrues a shared negative
-vote, and the weakest resident (smallest positive vote, lowest index on ties)
-is evicted only once the bucket's negative vote reaches a configurable
-multiple of that resident's positive vote. Long-lived heavy keys therefore
-entrench themselves, while churning light keys mostly bounce off, paying into
-the negative vote that eventually recycles a stale cell.
+A key without a cell passes a gate, then hashes to one bucket of d cells;
+each occupied cell is the point estimator of one key. A matching insert
+feeds that estimator and strengthens the cell's vote. When a key finds its
+bucket full, the bucket accrues a shared negative vote, and the weakest
+resident (smallest positive vote, lowest index on ties) is evicted only once
+the bucket's negative vote reaches a configurable multiple of that
+resident's positive vote. Long-lived heavy keys therefore entrench
+themselves, while churning light keys mostly bounce off, paying into the
+negative vote that eventually recycles a stale cell.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from typing import Callable, NamedTuple
 
 from .calibration import Calibrator
 from .estimator import answer
-from .hashing import as_key, check_seed, hash_key
+from .hashing import _MASK, as_key, check_seed, hash_key
 from .quantiles import NEG_INF, POS_INF, Value, check_count, check_value
 
 
@@ -131,6 +132,10 @@ class Bucket:
 class ValueSketch:
     """u buckets of d cells, each cell a key, its vote and its estimator in one object.
 
+    A key without a cell enters through the gate ``_admit(key,
+    gate_threshold)``: its bucket, or None while shut. A standalone table's
+    gate is always open; ``PerKeyQuantileSketch`` puts its tower there.
+
     :param buckets: u, number of hash buckets.
     :param cells_per_bucket: d, key slots per bucket.
     :param eviction_ratio: negative-to-positive vote multiple required to
@@ -164,12 +169,14 @@ class ValueSketch:
         ratio = as_ratio(eviction_ratio)
         self._ratio_num = ratio.numerator
         self._ratio_den = ratio.denominator
-        self.seed = seed
+        self._seed = seed
         self._r = candidate_capacity
         self._s = representative_capacity
         self._u = buckets
         self._d = cells_per_bucket
         self._hash_fn = hash_fn
+        self._admit = self._open_gate
+        self.gate_threshold = 0
         # Key -> its cell, over every occupied cell; a key holds at most one.
         self._resident: dict[int, Cell] = {}
         self.buckets: list[Bucket] = [Bucket(cells_per_bucket) for _ in range(buckets)]
@@ -177,11 +184,12 @@ class ValueSketch:
         self._floors = [1] * buckets
         self._room = [cells_per_bucket] * buckets
 
-    def bucket_of(self, key: int) -> int:
+    def _open_gate(self, key: int, threshold: int) -> int:
+        """A standalone table's gate: open at any threshold, at the key's seeded bucket."""
         h = self._hash_fn
         if h is not None:
             return h(key) % self._u
-        return hash_key(key, self.seed) % self._u
+        return hash_key(key, self._seed) % self._u
 
     def _new_cell(self, key: int, bucket_index: int) -> Cell:
         # The caller puts the cell into an empty slot of bucket bucket_index.
@@ -190,15 +198,22 @@ class ValueSketch:
         self._room[bucket_index] -= 1
         return cell
 
-    def insert(self, key: int, value: Value) -> InsertResult:
-        """Feed one (key, value) pair; returns what happened to the key.
+    def insert(self, key: int, value: Value) -> InsertResult | None:
+        """Feed one (key, value) pair; returns what happened to the key, None if gated.
 
         Matched: the key held a cell. Placed: it claimed an empty cell.
         Evicted: it took the cell of its full bucket's weakest resident, whose
         key rides along in the result. Rejected: only the negative vote moved.
 
-        Keys follow ``as_key`` and values ``check_value``. The matched branch
-        is the reference copy of the step ``PerKeyQuantileSketch.insert`` inlines.
+        Resident first: a key that holds a cell skips the gate, which opened
+        before it was placed and never closes (the tower's counters only
+        grow, and a saturated one only leaves the min). Its matched step is
+        an inline copy of ``_push``, pinned to it by TestResidentFirst in
+        tests/test_sketch.py. Any other key takes one gate step, and once
+        admitted goes to ``_place`` in the bucket that step returns.
+
+        Keys follow ``as_key`` and values ``check_value``, gated or not, and
+        both are checked before anything changes.
         """
         if type(key) is not int:
             key = as_key(key)
@@ -206,16 +221,35 @@ class ValueSketch:
             check_value(value)
         cell = self._resident.get(key)
         if cell is not None:
-            self._push(cell, value)
             cell.vote_plus += 1
+            c = cell.candidate
+            r = self._r
+            cal = self._calibrator
+            sentinel = cal.sentinel
+            if sentinel is not None:
+                z = next(cal.draws)
+                while z > 1:
+                    z -= 1
+                    c.append(sentinel)
+                    if len(c) >= r:
+                        self._flush(cell)
+            c.append(value)
+            if len(c) >= r:
+                self._flush(cell)
             return _MATCHED
-        as_key(key)
-        return self._place(key, value, self.bucket_of(key))
+        if not 0 <= key <= _MASK:
+            as_key(key)  # raises the range error
+        # Via a local: CPython 3.11 does not specialize self._admit(...), an instance attribute.
+        admit = self._admit
+        b = admit(key, self.gate_threshold)
+        if b is None:
+            return None
+        return self._place(key, value, b)
 
     def _push(self, cell: Cell, value: Value) -> None:
         """``PointEstimator.insert`` on a cell, for a checked value.
 
-        The reference copy of the push that ``PerKeyQuantileSketch.insert`` inlines.
+        The reference copy of the push that ``ValueSketch.insert`` inlines.
         """
         c = cell.candidate
         r = self._r
@@ -316,7 +350,7 @@ class ValueSketch:
         return tuple.__new__(InsertResult, (_EVICTED, evicted_key))
 
     def query(self, key: int) -> Value:
-        """Quantile estimate for a tracked key. Keys follow ``as_key``.
+        """Quantile estimate for a tracked key, as ``answer`` gives it. Keys follow ``as_key``.
 
         :raises KeyError: if the key holds no cell ("not tracked").
         """
@@ -326,9 +360,12 @@ class ValueSketch:
         if cell is None:
             as_key(key)  # raises the range error
             raise KeyError(f"key {key!r} not tracked")
-        return answer(cell.representative, cell.candidate, self._calibrator.w)
+        rep = cell.representative
+        if rep and isfinite(v := rep[(len(rep) - 1) >> 1]):
+            return v
+        return answer(rep, cell.candidate, self._calibrator.w)
 
-    def keys(self) -> list[int]:
+    def tracked_keys(self) -> list[int]:
         """Keys of all occupied cells, in the order they claimed their cells."""
         return list(self._resident)
 

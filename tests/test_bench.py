@@ -128,7 +128,7 @@ class TestRunBenchmark:
                 if not spoiled:
                     spoiled.extend(sorted(keys)[::3])
                     for key in spoiled:
-                        est = self.values._resident[key].estimator
+                        est = self._resident[key].estimator
                         est.candidate[:] = []
                         est.representative[:] = array("d", [POS_INF, POS_INF])
                 return keys

@@ -270,6 +270,10 @@ class TestSpecGrammar:
             parse_stream_spec("key_dist=zipf(x)")
         with pytest.raises(ValueError, match="wrong argument count"):
             parse_stream_spec("key_dist=zipf(1,2,3)")
+        with pytest.raises(ValueError, match="n_items is not a decimal integer"):
+            parse_stream_spec("n_items=1e3")
+        with pytest.raises(ValueError, match="n_keys is not a decimal integer"):
+            parse_stream_spec("n_keys=ten")
 
 
 class TestCsv:

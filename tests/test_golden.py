@@ -65,7 +65,7 @@ def state_digest(key_dist, n_keys: int, w: float) -> str:
             if r is not None and r.outcome in _CLAIMS:
                 claims += 1
         h.update(";".join(results).encode())
-    for bucket in sketch.values.buckets:
+    for bucket in sketch.buckets:
         h.update(f"|b{bucket.vote_minus}".encode())
         for cell in bucket.cells:
             if cell is None:

@@ -23,12 +23,14 @@ import pqsketch.value_sketch
 from pqsketch import (
     CapacityPlan,
     InsertOutcome,
+    InsertResult,
     PerKeyQuantileSketch,
     SketchParams,
     collision_probability,
     plan_capacity,
 )
 from pqsketch.calibration import BLOCK
+from pqsketch.estimator import answer as estimator_answer
 from pqsketch.hashing import child_seed, hash_key
 from pqsketch.sketch import SEED_TOWER, bucket_bytes
 from pqsketch.tower import layer_counters
@@ -274,13 +276,13 @@ class TestGate:
     def test_gate_only_opens_at_threshold(self):
         sk = PerKeyQuantileSketch(self.params())
         calls = []
-        original = sk.values._place
+        original = sk._place
 
         def spy(key, value, bucket_index):
             calls.append((key, sk.tower.query(key)))
             return original(key, value, bucket_index)
 
-        sk.values._place = spy
+        sk._place = spy
         rng = random.Random(1)
         for _ in range(3_000):
             sk.insert(rng.randrange(60), rng.random())
@@ -311,13 +313,13 @@ class TestGate:
             sk.insert(42, float(i))
         assert sk.tracked_keys() == [7]
         before = copy.deepcopy(sketch_state(sk))
-        twin = copy.deepcopy(sk.values._calibrator)
+        twin = copy.deepcopy(sk._calibrator)
         with pytest.raises(ValueError, match="finite"):
             sk.insert(42, bad)
         # Refused before the gate: the key paid nothing and no draw was taken.
         assert sk.tower.query(42) == 3
         assert sketch_state(sk) == before
-        assert list(islice(sk.values._calibrator.draws, 50)) == list(islice(twin.draws, 50))
+        assert list(islice(sk._calibrator.draws, 50)) == list(islice(twin.draws, 50))
 
 
 class TestKeys:
@@ -352,21 +354,21 @@ class TestKeys:
     def test_bool_key_raises_even_when_its_int_holds_a_cell(self):
         sk = PerKeyQuantileSketch(SketchParams(gate_threshold=0))
         sk.insert(1, 1.0)
-        before = cell_state(sk.values, 1)
+        before = cell_state(sk, 1)
         for bad in (True, False):
             with pytest.raises(TypeError, match="bool"):
                 sk.insert(bad, 2.0)
-        assert cell_state(sk.values, 1) == before
+        assert cell_state(sk, 1) == before
         assert sk.tracked_keys() == [1]
 
     def test_float_key_raises_even_when_its_int_holds_a_cell(self):
         sk = PerKeyQuantileSketch(SketchParams(gate_threshold=0))
         sk.insert(5, 1.0)
-        before = cell_state(sk.values, 5)
+        before = cell_state(sk, 5)
         for bad in (5.0, 6.0):
             with pytest.raises(TypeError):
                 sk.insert(bad, 2.0)
-        assert cell_state(sk.values, 5) == before
+        assert cell_state(sk, 5) == before
         assert sk.tracked_keys() == [5]
 
     @pytest.mark.parametrize("bad", NON_FINITE)
@@ -374,15 +376,15 @@ class TestKeys:
         sk = PerKeyQuantileSketch(SketchParams(quantile=0.9, gate_threshold=0))
         for value in (1.0, 2.0, 3.0):
             sk.insert(5, value)
-        calibrator = sk.values._calibrator
-        before = cell_state(sk.values, 5)
+        calibrator = sk._calibrator
+        before = cell_state(sk, 5)
         whole = copy.deepcopy(sketch_state(sk))
         twin = copy.deepcopy(calibrator)
         with pytest.raises(ValueError, match="finite"):
             sk.insert(5, bad)
         # No cell changed, the tower did not move and no draw was taken: the
         # stream goes on as its copy does.
-        assert cell_state(sk.values, 5) == before
+        assert cell_state(sk, 5) == before
         assert sketch_state(sk) == whole
         assert list(islice(calibrator.draws, 50)) == list(islice(twin.draws, 50))
 
@@ -392,13 +394,13 @@ class TestKeys:
         sk = PerKeyQuantileSketch(SketchParams(gate_threshold=2))
         for value in (1.0, 2.0, 3.0, 4.0):
             sk.insert(1, value)
-        before = cell_state(sk.values, 1)
+        before = cell_state(sk, 1)
         answer = sk.query(1)
         for key in (1, 9):
             for bad in (True, False, "1", None, 1j):
                 with pytest.raises(TypeError, match="real"):
                     sk.insert(key, bad)
-        assert cell_state(sk.values, 1) == before
+        assert cell_state(sk, 1) == before
         assert sk.tracked_keys() == [1] and sk.tower.query(9) == 0
         assert sk.query(1) == answer
 
@@ -432,14 +434,15 @@ class TestFloat64Answers:
         # r = 16 inserts flush once, and the pair enters the representative.
         for _ in range(15):
             sk.insert(1, value)
-        assert list(sk.values._resident[1].representative) == [rounded, rounded]
-        for answer in (sk.query(1), sk.values.query(1)):
+        cell = sk._resident[1]
+        assert list(cell.representative) == [rounded, rounded]
+        for answer in (sk.query(1), estimator_answer(cell.representative, cell.candidate, 0.5)):
             assert type(answer) is float and answer == rounded
 
 
-def cell_state(values, key):
+def cell_state(sketch, key):
     """A resident key's vote and buffers, copied."""
-    cell = values._resident[key]
+    cell = sketch._resident[key]
     return cell.vote_plus, list(cell.estimator.candidate), list(cell.estimator.representative)
 
 
@@ -464,15 +467,21 @@ def placement_bucket(sketch, key):
 
 
 def gate_first_insert(sketch, key, value):
-    """The routing without the resident shortcut: tower first, for every item."""
+    """The routing without the resident shortcut: tower first, for every item.
+
+    A matched item takes the vote and ``ValueSketch._push``, the reference
+    copy of the push that ``insert`` inlines.
+    """
     tower = sketch.tower
     if tower.query(key) < sketch.gate_threshold:
         tower.insert(key)
         return None
-    values = sketch.values
-    if key in values._resident:
-        return values.insert(key, value)
-    return values._place(key, value, placement_bucket(sketch, key))
+    cell = sketch._resident.get(key)
+    if cell is not None:
+        sketch._push(cell, value)
+        cell.vote_plus += 1
+        return InsertResult(InsertOutcome.MATCHED)
+    return sketch._place(key, value, placement_bucket(sketch, key))
 
 
 def sketch_state(sketch):
@@ -486,7 +495,7 @@ def sketch_state(sketch):
                 for cell in bucket.cells
             ],
         )
-        for bucket in sketch.values.buckets
+        for bucket in sketch.buckets
     ]
     counters = [arr for _, _, arr in sketch.tower._layers]
     return buckets, counters
@@ -531,9 +540,10 @@ class TestResidentFirst:
             opened = now_open
             assert set(reference.tracked_keys()) <= opened
         assert sketch_state(fast) == sketch_state(reference)
-        # The sketch reads a cell's answer in its own frame; ValueSketch.query is the reference.
+        # query reads a finite lower median by index; estimator.answer is the reference.
         for key in fast.tracked_keys():
-            assert fast.query(key) == reference.values.query(key)
+            cell = reference._resident[key]
+            assert fast.query(key) == estimator_answer(cell.representative, cell.candidate, w)
 
 
 # One layout per placement regime (see TowerFilter.admit): the default, where
@@ -572,7 +582,7 @@ class TestPlacementRule:
         # and some bucket of the u with odds about u e^-24.
         for key in range(24 * u):
             sk.insert(key, float(key))
-        for index, bucket in enumerate(sk.values.buckets):
+        for index, bucket in enumerate(sk.buckets):
             assert bucket.cells[0] is not None, f"bucket {index} never reached"
             for cell in bucket.cells:
                 if cell is not None:
@@ -677,11 +687,12 @@ class TestCopies:
         sk = PerKeyQuantileSketch(params)
         for key, value in pairs[:20_000]:
             sk.insert(key, value)
-        calibrator = sk.values._calibrator
+        calibrator = sk._calibrator
         assert 0 < length_hint(calibrator._current) < BLOCK, "no block in flight"
         copies = [copy.deepcopy(sk), pickle.loads(pickle.dumps(sk))]
         for twin in copies:
-            assert twin.values._calibrator is not calibrator
+            assert twin._calibrator is not calibrator
+            assert twin._admit.__self__ is twin.tower
             assert sketch_state(twin) == sketch_state(sk)
         for key, value in pairs[20_000:]:
             result = sk.insert(key, value)
@@ -689,7 +700,7 @@ class TestCopies:
         draws = list(islice(calibrator.draws, 2 * BLOCK))
         for twin in copies:
             assert sketch_state(twin) == sketch_state(sk)
-            assert list(islice(twin.values._calibrator.draws, 2 * BLOCK)) == draws
+            assert list(islice(twin._calibrator.draws, 2 * BLOCK)) == draws
 
 
 class TestRealMemory:

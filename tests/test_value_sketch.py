@@ -186,7 +186,7 @@ class TestVoteAccounting:
         frac = Fraction(ratio)
         for _ in range(1_500):
             key = rng.randrange(40)
-            b = vs.buckets[vs.bucket_of(key)]
+            b = vs.buckets[vs._admit(key, 0)]
             pre_minus = b.vote_minus
             pre_votes = [cell.vote_plus for cell in b.cells if cell is not None]
             full = all(cell is not None for cell in b.cells)
@@ -408,7 +408,7 @@ class TestVoteFloor:
             result = vs.insert(key, value)
             assert (result.outcome, result.evicted_key) == model.insert(key, value)
             assert sketch_state(vs) == model.state()
-            assert vs.keys() == list(model.resident)
+            assert vs.tracked_keys() == list(model.resident)
             for floor, room, bucket in zip(vs._floors, vs._room, vs.buckets):
                 if None not in bucket.cells:
                     assert floor <= min(c.vote_plus for c in bucket.cells)
@@ -486,7 +486,7 @@ class TestKeys:
         with pytest.raises(ValueError, match="unsigned 64-bit"):
             vs.insert(-1, 1.0)
         assert vs.insert((1 << 64) - 1, 1.0).outcome is InsertOutcome.PLACED
-        assert vs.keys() == [(1 << 64) - 1]
+        assert vs.tracked_keys() == [(1 << 64) - 1]
 
     def test_float_key_raises_even_when_its_int_holds_a_cell(self):
         vs = ValueSketch(buckets=8, cells_per_bucket=2, seed=1)
@@ -502,7 +502,7 @@ class TestKeys:
         for bad in (False, True):
             with pytest.raises(TypeError, match="bool"):
                 vs.insert(bad, 2.0)
-        assert vs.keys() == []
+        assert vs.tracked_keys() == []
 
     def test_bool_and_non_real_values_are_refused(self):
         vs = ValueSketch(buckets=8, cells_per_bucket=2, seed=1)
@@ -512,7 +512,7 @@ class TestKeys:
             for bad in (True, False, "1", None, 1j):
                 with pytest.raises(TypeError, match="real"):
                     vs.insert(key, bad)
-        assert vs.keys() == [5] and cell.vote_plus == 1
+        assert vs.tracked_keys() == [5] and cell.vote_plus == 1
         assert cell.estimator.candidate == [1.0]
 
     def test_resident_numpy_key_is_matched(self):
@@ -522,7 +522,7 @@ class TestKeys:
             warnings.simplefilter("error")
             assert vs.insert(np.uint64(5), 2.0).outcome is InsertOutcome.MATCHED
             assert vs.insert(np.int64(6), 3.0).outcome is InsertOutcome.PLACED
-        assert vs.keys() == [5, 6] and all(type(k) is int for k in vs.keys())
+        assert vs.tracked_keys() == [5, 6] and all(type(k) is int for k in vs.tracked_keys())
 
     def test_query_keys_follow_the_insert_rule(self):
         vs = ValueSketch(buckets=8, cells_per_bucket=2, seed=1)
@@ -547,14 +547,14 @@ class TestPlacement:
         for index, bucket in enumerate(vs.buckets):
             for cell in bucket.cells:
                 if cell is not None:
-                    assert vs.bucket_of(cell.key) == index
+                    assert vs._admit(cell.key, 0) == index
 
     def test_keys_iterates_occupied_cells(self):
         vs = ValueSketch(buckets=8, cells_per_bucket=2, seed=1)
         for key in (5, 6, 7):
             vs.insert(key, 1.0)
-        assert sorted(vs.keys()) == [5, 6, 7]
-        assert len(vs.keys()) == 3
+        assert sorted(vs.tracked_keys()) == [5, 6, 7]
+        assert len(vs.tracked_keys()) == 3
 
     def test_query_untracked_key(self):
         vs = ValueSketch(buckets=8, cells_per_bucket=2, seed=1)
@@ -612,7 +612,7 @@ class TestPlacement:
         vs = ValueSketch(buckets=4, cells_per_bucket=2, eviction_ratio=1, quantile=w, seed=3)
         results = [vs.insert(i % 23, float(i)) for i in range(200)]
         # Eviction ratio 1 over 23 keys for 8 cells: cells are reclaimed too.
-        assert len(vs.keys()) == 8
+        assert len(vs.tracked_keys()) == 8
         assert sum(r.outcome is InsertOutcome.EVICTED for r in results) > 0
         # A cell holds no calibrator, and each push (every item not
         # rejected) took one draw from the sketch's, which stands just past them.
@@ -633,7 +633,7 @@ class TestEndToEnd:
         for key, value in pairs:
             vs.insert(key, value)
             per_key.setdefault(key, []).append(value)
-        keys = sorted(vs.keys())
+        keys = sorted(vs.tracked_keys())
         assert len(keys) == 50  # capacity 448 cells, no evictions needed
         errors = [rank_error(sorted(per_key[k]), vs.query(k), 0.5)[1] for k in keys]
         assert sum(errors) / len(errors) <= 0.1
@@ -645,8 +645,8 @@ class TestEndToEnd:
         b = ValueSketch(buckets=8, cells_per_bucket=4, eviction_ratio=2, seed=9)
         for key, value in pairs:
             assert a.insert(key, value) == b.insert(key, value)
-        assert sorted(a.keys()) == sorted(b.keys())
-        for key in a.keys():
+        assert sorted(a.tracked_keys()) == sorted(b.tracked_keys())
+        for key in a.tracked_keys():
             assert a.query(key) == b.query(key)
 
 
@@ -660,7 +660,7 @@ class TestCollisionModel:
             vs = ValueSketch(buckets=500, cells_per_bucket=4, seed=t)
             loads = [0] * 500
             for key in range(1000):
-                loads[vs.bucket_of(key + t * 1000)] += 1
+                loads[vs._admit(key + t * 1000, 0)] += 1
             total += sum(1 for load in loads if load > 4) / 500
         predicted = collision_probability(1000, 500, 4)
         assert total / trials == pytest.approx(predicted, abs=0.01)
