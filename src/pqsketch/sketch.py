@@ -162,7 +162,7 @@ class PerKeyQuantileSketch(ValueSketch):
             plan.tower_bytes_per_array, seed=child_seed(params.seed, SEED_TOWER), buckets=plan.buckets
         )
         self._admit = self.tower.admit
-        self.gate_threshold = params.gate_threshold
+        self._gate_threshold = params.gate_threshold
 
     def __repr__(self) -> str:
         return (

@@ -133,7 +133,7 @@ class ValueSketch:
     """u buckets of d cells, each cell a key, its vote and its estimator in one object.
 
     A key without a cell enters through the gate ``_admit(key,
-    gate_threshold)``: its bucket, or None while shut. A standalone table's
+    _gate_threshold)``: its bucket, or None while shut. A standalone table's
     gate is always open; ``PerKeyQuantileSketch`` puts its tower there.
 
     :param buckets: u, number of hash buckets.
@@ -176,7 +176,7 @@ class ValueSketch:
         self._d = cells_per_bucket
         self._hash_fn = hash_fn
         self._admit = self._open_gate
-        self.gate_threshold = 0
+        self._gate_threshold = 0
         # Key -> its cell, over every occupied cell; a key holds at most one.
         self._resident: dict[int, Cell] = {}
         self.buckets: list[Bucket] = [Bucket(cells_per_bucket) for _ in range(buckets)]
@@ -207,10 +207,11 @@ class ValueSketch:
 
         Resident first: a key that holds a cell skips the gate, which opened
         before it was placed and never closes (the tower's counters only
-        grow, and a saturated one only leaves the min). Its matched step is
-        an inline copy of ``_push``, pinned to it by TestResidentFirst in
-        tests/test_sketch.py. Any other key takes one gate step, and once
-        admitted goes to ``_place`` in the bucket that step returns.
+        grow, and a saturated one only leaves the min). Any other key takes
+        one gate step, and once admitted goes to ``_place`` in the bucket
+        that step returns. Matched, placed and evicted items then take the
+        one push, ``PointEstimator.insert`` on the cell; TestVoteFloor and
+        TestResidentFirst pin it to that reference.
 
         Keys follow ``as_key`` and values ``check_value``, gated or not, and
         both are checked before anything changes.
@@ -220,37 +221,22 @@ class ValueSketch:
         if type(value) is not float or not isfinite(value):
             check_value(value)
         cell = self._resident.get(key)
-        if cell is not None:
+        # The matched branch comes second, so it falls through to the push with no jump.
+        if cell is None:
+            if not 0 <= key <= _MASK:
+                as_key(key)  # raises the range error
+            # Via a local: CPython 3.11 does not specialize self._admit(...), an instance attribute.
+            admit = self._admit
+            b = admit(key, self._gate_threshold)
+            if b is None:
+                return None
+            result = self._place(key, b)
+            if result is _REJECTED:
+                return result
+            cell = self._resident[key]
+        else:
             cell.vote_plus += 1
-            c = cell.candidate
-            r = self._r
-            cal = self._calibrator
-            sentinel = cal.sentinel
-            if sentinel is not None:
-                z = next(cal.draws)
-                while z > 1:
-                    z -= 1
-                    c.append(sentinel)
-                    if len(c) >= r:
-                        self._flush(cell)
-            c.append(value)
-            if len(c) >= r:
-                self._flush(cell)
-            return _MATCHED
-        if not 0 <= key <= _MASK:
-            as_key(key)  # raises the range error
-        # Via a local: CPython 3.11 does not specialize self._admit(...), an instance attribute.
-        admit = self._admit
-        b = admit(key, self.gate_threshold)
-        if b is None:
-            return None
-        return self._place(key, value, b)
-
-    def _push(self, cell: Cell, value: Value) -> None:
-        """``PointEstimator.insert`` on a cell, for a checked value.
-
-        The reference copy of the push that ``ValueSketch.insert`` inlines.
-        """
+            result = _MATCHED
         c = cell.candidate
         r = self._r
         cal = self._calibrator
@@ -265,6 +251,7 @@ class ValueSketch:
         c.append(value)
         if len(c) >= r:
             self._flush(cell)
+        return result
 
     def _flush(self, cell: Cell) -> None:
         """``PointEstimator._flush`` on a sorted representative, pair inserted by bisection.
@@ -302,11 +289,12 @@ class ValueSketch:
                 rep[-1] = c[bisect_right(c, NEG_INF)]
         c.clear()
 
-    def _place(self, key: int, value: Value, bucket_index: int) -> InsertResult:
-        """Claim a cell of bucket bucket_index for a checked key without one, evict for it, or reject it.
+    def _place(self, key: int, bucket_index: int) -> InsertResult:
+        """Pick a cell of bucket bucket_index for a checked key without one, or reject the key.
 
-        The caller has found that the key holds no cell, checked the key and
-        the value, and picked the bucket. A full bucket takes one more
+        It only picks the cell and empties a reused one; the caller has found
+        that the key holds no cell, checked it, picked the bucket, and pushes
+        the value. An empty cell is claimed first. A full bucket takes one more
         negative vote. If that vote falls short of the ratio times the
         bucket's floor, it falls short of the weakest cell too, and the key is
         rejected with no scan. Otherwise the cells are scanned for the weakest
@@ -317,9 +305,7 @@ class ValueSketch:
         bucket = self.buckets[bucket_index]
         cells = bucket.cells
         if self._room[bucket_index]:
-            cell = self._new_cell(key, bucket_index)
-            cells[cells.index(None)] = cell
-            self._push(cell, value)
+            cells[cells.index(None)] = self._new_cell(key, bucket_index)
             return _PLACED
         vote_minus = bucket.vote_minus + 1
         bucket.vote_minus = vote_minus
@@ -346,7 +332,6 @@ class ValueSketch:
         victim.candidate.clear()
         # array has no clear() before Python 3.13.
         del victim.representative[:]
-        self._push(victim, value)
         return tuple.__new__(InsertResult, (_EVICTED, evicted_key))
 
     def query(self, key: int) -> Value:

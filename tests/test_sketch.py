@@ -32,8 +32,10 @@ from pqsketch import (
 from pqsketch.calibration import BLOCK
 from pqsketch.estimator import answer as estimator_answer
 from pqsketch.hashing import child_seed, hash_key
-from pqsketch.sketch import SEED_TOWER, bucket_bytes
-from pqsketch.tower import layer_counters
+from pqsketch.sketch import SEED_TOWER, SEED_VALUES, bucket_bytes
+from pqsketch.tower import TowerFilter, layer_counters
+
+from models import ScanningModel, sketch_state
 
 # Values outside the domain; 10**400 is an int too large for a float.
 NON_FINITE = [math.nan, math.inf, -math.inf, pytest.param(10**400, id="10**400")]
@@ -278,9 +280,9 @@ class TestGate:
         calls = []
         original = sk._place
 
-        def spy(key, value, bucket_index):
+        def spy(key, bucket_index):
             calls.append((key, sk.tower.query(key)))
-            return original(key, value, bucket_index)
+            return original(key, bucket_index)
 
         sk._place = spy
         rng = random.Random(1)
@@ -466,39 +468,40 @@ def placement_bucket(sketch, key):
     return hash_key(key, child_seed(tower_seed, 1)) % u
 
 
-def gate_first_insert(sketch, key, value):
-    """The routing without the resident shortcut: tower first, for every item.
+class GateFirstModel:
+    """The composed sketch without the resident shortcut: tower first, for every item.
 
-    A matched item takes the vote and ``ValueSketch._push``, the reference
-    copy of the push that ``insert`` inlines.
+    A reference ``TowerFilter`` gates each item; an admitted one goes to a
+    ``ScanningModel`` routed by ``placement_bucket``, whose cells are
+    ``PointEstimator``s drawing from one calibrator under the sketch's seed.
     """
-    tower = sketch.tower
-    if tower.query(key) < sketch.gate_threshold:
-        tower.insert(key)
-        return None
-    cell = sketch._resident.get(key)
-    if cell is not None:
-        sketch._push(cell, value)
-        cell.vote_plus += 1
-        return InsertResult(InsertOutcome.MATCHED)
-    return sketch._place(key, value, placement_bucket(sketch, key))
 
-
-def sketch_state(sketch):
-    buckets = [
-        (
-            bucket.vote_minus,
-            [
-                None
-                if cell is None
-                else (cell.key, cell.vote_plus, cell.estimator.candidate, cell.estimator.representative)
-                for cell in bucket.cells
-            ],
+    def __init__(self, sketch):
+        params, plan = sketch.params, sketch.plan
+        self.threshold = params.gate_threshold
+        self.tower = TowerFilter(
+            plan.tower_bytes_per_array, seed=child_seed(params.seed, SEED_TOWER), buckets=plan.buckets
         )
-        for bucket in sketch.buckets
-    ]
-    counters = [arr for _, _, arr in sketch.tower._layers]
-    return buckets, counters
+        self.table = ScanningModel(
+            plan.buckets,
+            params.cells_per_bucket,
+            params.eviction_ratio,
+            lambda key: placement_bucket(sketch, key),
+            params.candidate_capacity,
+            params.representative_capacity,
+            params.quantile,
+            child_seed(params.seed, SEED_VALUES),
+        )
+
+    def insert(self, key, value):
+        if self.tower.query(key) < self.threshold:
+            self.tower.insert(key)
+            return None
+        return InsertResult(*self.table.insert(key, value))
+
+    def state(self):
+        """``sketch_state``'s shape: the table's buckets, then the tower's counters."""
+        return self.table.state(), [list(arr) for _, _, arr in self.tower._layers]
 
 
 class TestResidentFirst:
@@ -531,19 +534,19 @@ class TestResidentFirst:
             seed=seed,
         )
         fast = PerKeyQuantileSketch(params)
-        reference = PerKeyQuantileSketch(params)
+        reference = GateFirstModel(fast)
         opened = set()
         for key, value in items:
-            assert fast.insert(key, value) == gate_first_insert(reference, key, value)
+            assert fast.insert(key, value) == reference.insert(key, value)
             now_open = {k for k in range(self.KEYS) if reference.tower.query(k) >= threshold}
             assert opened <= now_open, "a gate closed again"
             opened = now_open
-            assert set(reference.tracked_keys()) <= opened
-        assert sketch_state(fast) == sketch_state(reference)
-        # query reads a finite lower median by index; estimator.answer is the reference.
+            assert set(reference.table.resident) <= opened
+        assert sketch_state(fast) == reference.state()
+        assert fast.tracked_keys() == list(reference.table.resident)
+        # query reads a finite lower median by index; PointEstimator.query is the reference.
         for key in fast.tracked_keys():
-            cell = reference._resident[key]
-            assert fast.query(key) == estimator_answer(cell.representative, cell.candidate, w)
+            assert fast.query(key) == reference.table.resident[key][2].query()
 
 
 # One layout per placement regime (see TowerFilter.admit): the default, where

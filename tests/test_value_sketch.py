@@ -27,6 +27,8 @@ from pqsketch import (
 from pqsketch.estimator import answer as estimator_answer
 from pqsketch.value_sketch import Cell, as_ratio
 
+from models import ScanningModel, sketch_state
+
 
 def single_bucket(eviction_ratio=4, cells=2, **kwargs):
     """One-bucket sketch: every key collides, which makes votes observable."""
@@ -310,68 +312,6 @@ class TestSortedRepresentative:
         vs._flush(cell)
         ref._flush()
         assert list(cell.representative) == after == sorted(ref.representative)
-
-
-class ScanningModel:
-    """Reference for ValueSketch placement: a full scan on every full-bucket
-    miss, and a fresh cell (new estimator, new buffers) on every eviction."""
-
-    def __init__(self, buckets, cells, ratio, route, r, s, quantile, seed):
-        self.u = buckets
-        self.ratio = as_ratio(ratio)
-        self.route = route
-        self.r, self.s = r, s
-        self.calibrator = Calibrator(quantile, seed)
-        self.cells = [[None] * cells for _ in range(buckets)]  # [key, vote, estimator]
-        self.vote_minus = [0] * buckets
-        self.resident: dict[int, list] = {}
-
-    def fresh(self, key, value):
-        cell = [key, 1, PointEstimator(self.r, self.s, self.calibrator)]
-        cell[2].insert(value)
-        self.resident[key] = cell
-        return cell
-
-    def insert(self, key, value):
-        cell = self.resident.get(key)
-        if cell is not None:
-            cell[2].insert(value)
-            cell[1] += 1
-            return InsertOutcome.MATCHED, None
-        b = self.route(key) % self.u
-        cells = self.cells[b]
-        if None in cells:
-            cells[cells.index(None)] = self.fresh(key, value)
-            return InsertOutcome.PLACED, None
-        self.vote_minus[b] += 1
-        weakest = min(range(len(cells)), key=lambda j: cells[j][1])  # first minimum
-        if self.vote_minus[b] < self.ratio * cells[weakest][1]:
-            return InsertOutcome.REJECTED, None
-        evicted = cells[weakest][0]
-        del self.resident[evicted]
-        cells[weakest] = self.fresh(key, value)
-        self.vote_minus[b] = 0
-        return InsertOutcome.EVICTED, evicted
-
-    def state(self):
-        # A cell keeps its representative sorted, a PointEstimator in append order.
-        return [
-            (minus, [None if c is None else (c[0], c[1], c[2].candidate, sorted(c[2].representative)) for c in cells])
-            for minus, cells in zip(self.vote_minus, self.cells)
-        ]
-
-
-def sketch_state(vs):
-    return [
-        (
-            bucket.vote_minus,
-            [
-                None if c is None else (c.key, c.vote_plus, c.estimator.candidate, list(c.estimator.representative))
-                for c in bucket.cells
-            ],
-        )
-        for bucket in vs.buckets
-    ]
 
 
 class TestVoteFloor:

@@ -1,7 +1,8 @@
 """Count the lines of every .py file under a directory: all lines, and code lines.
 
 Code lines are lines that hold a token other than a comment, excluding
-module, class and function docstrings; blank lines never count.
+module, class and function docstrings; blank lines never count. One line
+per file comes first, then the total.
 
 Usage: python3 tools/loc.py src
 """
@@ -30,5 +31,9 @@ def count(source: str) -> tuple[int, int]:
 
 
 if __name__ == "__main__":
-    totals = [count(path.read_text()) for path in sorted(Path(sys.argv[1]).rglob("*.py"))]
+    totals = []
+    for path in sorted(Path(sys.argv[1]).rglob("*.py")):
+        lines, code = count(path.read_text())
+        totals.append((lines, code))
+        print(f"{lines:6} lines, {code:5} code lines  {path}")
     print(f"{sum(t for t, _ in totals)} lines, {sum(c for _, c in totals)} code lines")
