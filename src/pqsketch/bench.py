@@ -13,16 +13,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from time import perf_counter
 
 import numpy as np
 
-from .calibration import Calibrator
 from .datagen import Stream
-from .estimator import PointEstimator
 from .hashing import child_seed
 from .quantiles import check_count, rank_error
 from .sketch import SEED_SINGLE, PerKeyQuantileSketch, SketchParams
+from .value_sketch import ValueSketch
 
 #: Report fields that vary run to run; strip these before comparing reports.
 TIMING_FIELDS = ("insert_throughput_mops", "query_throughput_mops", "wall_time_ms")
@@ -66,34 +66,6 @@ def _config_echo(params: SketchParams, dataset: dict, f_eval: int, repeat: int, 
     }
 
 
-class _SingleKeySink:
-    """A bare estimator behind the sketch's interface, tracking one key 0.
-
-    Stream keys are ignored, which isolates estimator accuracy and speed from
-    hashing and admission.
-    """
-
-    __slots__ = ("estimator",)
-
-    def __init__(self, params: SketchParams) -> None:
-        self.estimator = PointEstimator(
-            params.candidate_capacity,
-            params.representative_capacity,
-            Calibrator(params.quantile, child_seed(params.seed, SEED_SINGLE)),
-        )
-
-    def insert(self, key: int, value: float) -> None:
-        self.estimator.insert(value)
-
-    def tracked_keys(self) -> list[int]:
-        # An estimator buffers a value from its first insert on.
-        est = self.estimator
-        return [0] if est.candidate or est.representative else []
-
-    def query(self, key: int) -> float:
-        return self.estimator.query()
-
-
 def _timed_inserts(stream: Stream, insert) -> float:
     """Seconds spent feeding the stream to insert; chunks are built between timed sections."""
     elapsed = 0.0
@@ -110,14 +82,11 @@ def _mops(items: int, seconds_per_rep: list[float]) -> float:
     return sum(rates) / len(rates) if rates else 0.0
 
 
-def _reference(stream: Stream, f_eval: int, single_key: bool) -> tuple[np.ndarray, dict[int, tuple[int, int]]]:
-    """The stream's values sorted by key, then by value, and the (start, stop)
-    span of every key with at least f_eval values: the exact per-key multisets,
-    built once. Single-key mode files every value under key 0.
-    """
-    keys = np.zeros_like(stream.keys) if single_key else stream.keys
-    order = np.lexsort((stream.values, keys))
-    uniq, start, count = np.unique(keys[order], return_index=True, return_counts=True)
+def _reference(stream: Stream, f_eval: int) -> tuple[np.ndarray, dict[int, tuple[int, int]]]:
+    """The stream's values sorted by key, then by value, and the (start, stop) span
+    of every key with at least f_eval values: the exact per-key multisets, built once."""
+    order = np.lexsort((stream.values, stream.keys))
+    uniq, start, count = np.unique(stream.keys[order], return_index=True, return_counts=True)
     spans = {k: (s, s + c) for k, s, c in zip(uniq.tolist(), start.tolist(), count.tolist()) if c >= f_eval}
     return stream.values[order], spans
 
@@ -134,45 +103,51 @@ def run_benchmark(
 
     Each repetition rebuilds the sketch from the same seed and replays the
     same stream, so repetitions are timing samples over identical work; the
-    final repetition's state feeds the accuracy section. Evaluated keys are
-    the tracked keys whose true frequency is at least f_eval (defaulting to
-    the gate threshold, below which a key cannot finish paying admission).
-    A tracked key whose query raises is listed in unanswered_keys: it counts
-    as covered but adds no row and no error. With single_key, one bare
-    estimator takes every value as key 0.
+    final repetition's state feeds the accuracy section, which scores the last
+    timed query sweep. Evaluated keys are the tracked keys whose true
+    frequency is at least f_eval (defaulting to the gate threshold, below
+    which a key cannot finish paying admission). A tracked key whose query
+    raises is listed in unanswered_keys: it counts as covered but adds no row
+    and no error. With single_key, every key becomes 0, and one cell of an
+    always-open key table answers for key 0.
     """
     t_start = perf_counter()
     check_count("repeat", repeat)
     if f_eval is None:
         f_eval = params.gate_threshold
     check_count("f_eval", f_eval, nonnegative=True)
-    make_sink = _SingleKeySink if single_key else PerKeyQuantileSketch
+    make_sink = partial(PerKeyQuantileSketch, params)
+    if single_key:
+        # Key 0 holds the one cell from its first item on: the fill times the push alone.
+        stream = Stream(np.zeros_like(stream.keys), stream.values)
+        make_sink = partial(ValueSketch, 1, 1, candidate_capacity=params.candidate_capacity,
+                            representative_capacity=params.representative_capacity,
+                            quantile=params.quantile, seed=child_seed(params.seed, SEED_SINGLE))
 
     insert_seconds: list[float] = []
     for _ in range(repeat):
-        sink = make_sink(params)
+        sink = make_sink()
         insert_seconds.append(_timed_inserts(stream, sink.insert))
 
     tracked = sorted(sink.tracked_keys())
     query = sink.query
     query_seconds: list[float] = []
     for _ in range(repeat):
+        answers: list = []
         t0 = perf_counter()
         for k in tracked:
             try:
-                query(k)
+                answers.append(query(k))
             except ValueError:
-                pass
+                answers.append(None)
         query_seconds.append(perf_counter() - t0)
 
-    ordered_values, eligible = _reference(stream, f_eval, single_key)
+    ordered_values, eligible = _reference(stream, f_eval)
     evaluated = [k for k in tracked if k in eligible]
     rows: list[dict] = []
     unanswered: list[int] = []
-    for k in tracked:
-        try:
-            estimate = query(k)
-        except ValueError:
+    for k, estimate in zip(tracked, answers):
+        if estimate is None:
             unanswered.append(k)
             continue
         if k not in eligible:

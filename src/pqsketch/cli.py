@@ -47,7 +47,7 @@ def _add_bench_parser(sub: argparse._SubParsersAction) -> None:
                    help="minimum true frequency for a key to be evaluated (default: T)")
     p.add_argument("--repeat", type=int, default=3, help="timing repetitions (default 3)")
     p.add_argument("--single-key", action="store_true",
-                   help="benchmark one bare estimator; stream keys are ignored")
+                   help="benchmark one cell of an always-open key table that answers for key 0; keys are ignored")
     p.add_argument("--report", metavar="PATH", default=None,
                    help="write the JSON report here instead of stdout")
 

@@ -19,11 +19,14 @@ import math
 from bisect import bisect_left, bisect_right
 
 from .calibration import IDENTITY, Calibrator
-from .quantiles import NEG_INF, POS_INF, Value, check_count, check_value
+from .quantiles import NEG_INF, POS_INF, Value, check_count
 
 
 class PointEstimator:
     """Fixed-memory estimator of one quantile of one value stream.
+
+    The append-order reference that the key table's push and flush
+    (``ValueSketch.insert`` and ``_flush``) are pinned to in tests.
 
     :param candidate_capacity: r, a positive even batch size.
     :param representative_capacity: s, a positive even retention size.
@@ -48,26 +51,12 @@ class PointEstimator:
         self.representative: list[Value] = []
 
     def insert(self, value: Value) -> None:
-        """Insert one finite value, expanding it through the calibrator."""
-        if type(value) is not float or not math.isfinite(value):
-            check_value(value)
-        # Candidate stays strictly below capacity between operations: the
-        # append that reaches r triggers an immediate flush.
+        """Insert one finite value: append its calibrated run, flushing whenever the candidate fills."""
         c = self.candidate
-        r = self._r
-        cal = self._calibrator
-        sentinel = cal.sentinel
-        # An identity calibrator is not asked: its Z is always 1, drawn from nothing.
-        if sentinel is not None:
-            z = next(cal.draws)
-            while z > 1:
-                z -= 1
-                c.append(sentinel)
-                if len(c) >= r:
-                    self._flush()
-        c.append(value)
-        if len(c) >= r:
-            self._flush()
+        for v in self._calibrator.calibrate(value):
+            c.append(v)
+            if len(c) >= self._r:
+                self._flush()
 
     def extend(self, values) -> None:
         insert = self.insert

@@ -10,10 +10,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pqsketch import POS_INF, PerKeyQuantileSketch, SketchParams, bench, rank_error
+from pqsketch import POS_INF, Calibrator, PerKeyQuantileSketch, PointEstimator, SketchParams, bench, rank_error
 from pqsketch.bench import TIMING_FIELDS, run_benchmark
 from pqsketch.cli import main
 from pqsketch.datagen import StreamSpec, UniformValues, ZipfKeys, generate
+from pqsketch.hashing import child_seed
+from pqsketch.sketch import SEED_SINGLE
 
 SMALL = StreamSpec(
     n_items=30_000,
@@ -199,15 +201,16 @@ class TestRunSingleKey:
         assert report.coverage == 1.0
 
     def test_unanswered_key_is_listed_and_still_covered(self, monkeypatch):
-        # The estimator's buffers are set by hand to +inf sentinels only once
+        # The one cell's buffers are set by hand to +inf sentinels only once
         # the fill is done, a state that inserts never reach.
-        class SpoiledSink(bench._SingleKeySink):
+        class SpoiledTable(bench.ValueSketch):
             def tracked_keys(self):
-                self.estimator.candidate[:] = []
-                self.estimator.representative[:] = [POS_INF, POS_INF]
+                cell = self._resident[0]
+                cell.candidate = []
+                cell.representative = array("d", [POS_INF, POS_INF])
                 return super().tracked_keys()
 
-        monkeypatch.setattr(bench, "_SingleKeySink", SpoiledSink)
+        monkeypatch.setattr(bench, "ValueSketch", SpoiledTable)
         spec = StreamSpec(n_items=50, n_keys=5, seed=1)
         params = small_params(quantile=0.99, candidate_capacity=4, representative_capacity=2,
                               gate_threshold=0, seed=24)
@@ -216,6 +219,22 @@ class TestRunSingleKey:
         assert report.tracked_keys == report.eligible_keys == 1
         assert report.per_key == [] and report.ae is None
         assert report.coverage == 1.0
+
+    @pytest.mark.parametrize("n_items", [1, 3000])
+    @pytest.mark.parametrize("r, s", [(16, 10), (4, 2), (2, 8)])
+    @pytest.mark.parametrize("w", [0.0, 0.01, 0.5, 0.99, 1.0])
+    def test_answer_is_the_reference_estimators(self, w, r, s, n_items):
+        # The one-cell table answers as the append-order reference estimator
+        # fed the same values from the same calibration seed, sentinels of
+        # either sign and r < s included.
+        stream = generate(StreamSpec(n_items=n_items, n_keys=20, seed=7))
+        params = small_params(quantile=w, candidate_capacity=r, representative_capacity=s, seed=11)
+        report = run_benchmark(stream, params, f_eval=0, repeat=1, single_key=True)
+        e = PointEstimator(r, s, Calibrator(w, child_seed(params.seed, SEED_SINGLE)))
+        e.extend(stream.values.tolist())
+        [row] = report.per_key
+        assert row["true_freq"] == n_items
+        assert row["estimated_value"] == e.query()
 
     def test_empty_stream(self):
         spec = StreamSpec(n_items=0, n_keys=5, seed=1)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import numbers
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -71,7 +72,12 @@ class TestValidation:
         for bad in (False, True, "1", None, 1j):
             with pytest.raises(TypeError):
                 e.insert(bad)
+        for bad in (float("nan"), POS_INF):
+            with pytest.raises(ValueError, match="finite"):
+                e.insert(bad)
         assert e.candidate == [] and e.representative == []
+        # Checked before the draw: a rejected value takes no Z.
+        assert list(islice(e._calibrator.draws, 50)) == list(islice(Calibrator(0.9, seed=2).draws, 50))
         e.insert(3)
         assert e.query() == 3
 
