@@ -17,6 +17,7 @@ from array import array
 from bisect import bisect_left, bisect_right, insort
 from enum import Enum
 from fractions import Fraction
+from itertools import repeat
 from math import isfinite
 from typing import Callable, NamedTuple
 
@@ -71,32 +72,38 @@ def as_ratio(value) -> Fraction:
     return ratio
 
 
-class Cell:
+class Cell(list):
     """A key's cell: the key, its positive vote and a ``PointEstimator``'s two buffers.
 
-    The candidate is a list; the representative an ``array("d")`` kept
-    sorted, so it answers in float64, by index. r, s, the calibrator and the
-    rules on the buffers are ``ValueSketch``'s, held once. ``PointEstimator``
-    keeps append order, which criterion 1 of tests/test_acceptance.py reads.
+    The cell is its candidate list, so a cell is one object besides its
+    representative, an ``array("d")`` kept sorted, which answers in float64,
+    by index. r, s, the calibrator and the rules on the buffers are
+    ``ValueSketch``'s, held once. ``PointEstimator`` keeps append order,
+    which criterion 1 of tests/test_acceptance.py reads. Cells compare by
+    their candidates and are unhashable; nothing hashes them.
     """
 
-    __slots__ = ("key", "vote_plus", "candidate", "representative")
+    __slots__ = ("key", "vote_plus", "representative")
 
     def __init__(self, key: int, vote_plus: int) -> None:
         self.key = key
         self.vote_plus = vote_plus
-        self.candidate: list[Value] = []
         self.representative = array("d")
 
     def __deepcopy__(self, memo) -> Cell:
         # The fields hold numbers only. Copying them directly, not through
         # __reduce_ex__'s slot-state dict, leaves no freed dicts behind.
         cell = Cell.__new__(Cell)
+        cell.extend(self)
         cell.key = self.key
         cell.vote_plus = self.vote_plus
-        cell.candidate = self.candidate[:]
         cell.representative = self.representative[:]
         return cell
+
+    @property
+    def candidate(self) -> Cell:
+        """The candidate buffer: the cell itself."""
+        return self
 
     @property
     def estimator(self) -> Cell:
@@ -104,13 +111,15 @@ class Cell:
         return self
 
 
-class Bucket:
-    """d cell slots and their shared negative vote.
+class Bucket(list):
+    """d cell slots, the list's items, and their shared negative vote.
 
     Its vote floor and count of empty cells live in ValueSketch's ``_floors``
-    and ``_room`` lists, not in slots: slots for them (a 64-byte Bucket, not
-    48) lost 2.1-2.3% of insert throughput on zipf-p50 and 1.0-1.7% on churn,
-    every pair of two lock-step perfbench runs (10 s, seeds 3-7, 2-core VM).
+    and ``_room`` lists, not in slots, which would make a Bucket 80 bytes,
+    not 64. When a Bucket held its cells in a list of its own, the same two
+    slots (a 64-byte Bucket, not 48) lost 2.1-2.3% of insert throughput on
+    zipf-p50 and 1.0-1.7% on churn, every pair of two lock-step perfbench
+    runs (10 s, seeds 3-7, 2-core VM).
 
     Invariant: the floor is <= the smallest ``vote_plus`` among the cells.
     It starts at 1, the vote of a new cell, and votes only grow, so only a
@@ -122,11 +131,12 @@ class Bucket:
     cell is emptied again, since an eviction reuses the victim's cell.
     """
 
-    __slots__ = ("vote_minus", "cells")
+    __slots__ = ("vote_minus",)
 
-    def __init__(self, cells_per_bucket: int) -> None:
-        self.vote_minus = 0
-        self.cells: list[Cell | None] = [None] * cells_per_bucket
+    @property
+    def cells(self) -> Bucket:
+        """The d cell slots, None where empty: the bucket itself."""
+        return self
 
 
 class ValueSketch:
@@ -179,7 +189,10 @@ class ValueSketch:
         self._gate_threshold = 0
         # Key -> its cell, over every occupied cell; a key holds at most one.
         self._resident: dict[int, Cell] = {}
-        self.buckets: list[Bucket] = [Bucket(cells_per_bucket) for _ in range(buckets)]
+        # list.__init__ copies the one row into each bucket, in C.
+        self.buckets: list[Bucket] = list(map(Bucket, repeat([None] * cells_per_bucket, buckets)))
+        for bucket in self.buckets:
+            bucket.vote_minus = 0
         # Per-bucket vote floor and count of empty cells; see Bucket.
         self._floors = [1] * buckets
         self._room = [cells_per_bucket] * buckets
@@ -237,7 +250,6 @@ class ValueSketch:
         else:
             cell.vote_plus += 1
             result = _MATCHED
-        c = cell.candidate
         r = self._r
         cal = self._calibrator
         sentinel = cal.sentinel
@@ -245,27 +257,26 @@ class ValueSketch:
             z = next(cal.draws)
             while z > 1:
                 z -= 1
-                c.append(sentinel)
-                if len(c) >= r:
+                cell.append(sentinel)
+                if len(cell) >= r:
                     self._flush(cell)
-        c.append(value)
-        if len(c) >= r:
+        cell.append(value)
+        if len(cell) >= r:
             self._flush(cell)
         return result
 
-    def _flush(self, cell: Cell) -> None:
+    def _flush(self, c: Cell) -> None:
         """``PointEstimator._flush`` on a sorted representative, pair inserted by bisection.
 
         Full, the s + 2 values lose their min and max. A split on the ends
         moves only what changes: lo below the first is the min, and hi at or
         above the last the max.
         """
-        c = cell.candidate
         c.sort()
         half = self._r >> 1
         lo = c[half - 1]
         hi = c[half]
-        rep = cell.representative
+        rep = c.representative
         if len(rep) < self._s:
             insort(rep, lo)
             insort(rep, hi)
@@ -303,9 +314,8 @@ class ValueSketch:
         the sketch's one calibration stream.
         """
         bucket = self.buckets[bucket_index]
-        cells = bucket.cells
         if self._room[bucket_index]:
-            cells[cells.index(None)] = self._new_cell(key, bucket_index)
+            bucket[bucket.index(None)] = self._new_cell(key, bucket_index)
             return _PLACED
         vote_minus = bucket.vote_minus + 1
         bucket.vote_minus = vote_minus
@@ -314,8 +324,8 @@ class ValueSketch:
         floors = self._floors
         if threshold < num * floors[bucket_index]:
             return _REJECTED
-        victim = cells[0]
-        for cell in cells:
+        victim = bucket[0]
+        for cell in bucket:
             if cell.vote_plus < victim.vote_plus:
                 victim = cell
         if threshold < num * victim.vote_plus:
@@ -329,7 +339,7 @@ class ValueSketch:
         victim.vote_plus = 1
         bucket.vote_minus = 0
         floors[bucket_index] = 1
-        victim.candidate.clear()
+        victim.clear()
         # array has no clear() before Python 3.13.
         del victim.representative[:]
         return tuple.__new__(InsertResult, (_EVICTED, evicted_key))
@@ -348,7 +358,7 @@ class ValueSketch:
         rep = cell.representative
         if rep and isfinite(v := rep[(len(rep) - 1) >> 1]):
             return v
-        return answer(rep, cell.candidate, self._calibrator.w)
+        return answer(rep, cell, self._calibrator.w)
 
     def tracked_keys(self) -> list[int]:
         """Keys of all occupied cells, in the order they claimed their cells."""

@@ -1,6 +1,7 @@
 """Tests for the benchmark runner, report format, and command line."""
 from __future__ import annotations
 
+import itertools
 import json
 import subprocess
 import sys
@@ -104,6 +105,26 @@ class TestRunBenchmark:
         assert a_cfg == b_cfg
         assert strip_timing(a) == strip_timing(b)
 
+    def test_query_phase_repeats_whole_sweeps_until_its_least_time(self, monkeypatch):
+        # A clock that moves one second a reading: each repetition sweeps
+        # until MIN_QUERY_SECONDS (5 s) have passed, and a sweep reads it once.
+        ticks = itertools.count()
+        monkeypatch.setattr(bench, "perf_counter", lambda: float(next(ticks)))
+        monkeypatch.setattr(bench, "MIN_QUERY_SECONDS", 5.0)
+        queried = []
+
+        class CountingSketch(PerKeyQuantileSketch):
+            def query(self, key):
+                queried.append(key)
+                return super().query(key)
+
+        monkeypatch.setattr(bench, "PerKeyQuantileSketch", CountingSketch)
+        report = run_benchmark(generate(SMALL), small_params(), repeat=2)
+        tracked = report.tracked_keys
+        assert tracked > 0
+        assert queried == sorted(queried[:tracked]) * 10
+        assert report.query_throughput_mops == tracked / 1.0 / 1e6
+
     def test_f_eval_filters_evaluated_keys(self):
         stream = generate(SMALL)
         loose = run_benchmark(stream, small_params(), f_eval=10, repeat=1)
@@ -206,7 +227,7 @@ class TestRunSingleKey:
         class SpoiledTable(bench.ValueSketch):
             def tracked_keys(self):
                 cell = self._resident[0]
-                cell.candidate = []
+                cell.candidate[:] = []
                 cell.representative = array("d", [POS_INF, POS_INF])
                 return super().tracked_keys()
 

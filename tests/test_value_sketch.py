@@ -25,7 +25,7 @@ from pqsketch import (
     rank_error,
 )
 from pqsketch.estimator import answer as estimator_answer
-from pqsketch.value_sketch import Cell, as_ratio
+from pqsketch.value_sketch import Bucket, Cell, as_ratio
 
 from models import ScanningModel, sketch_state
 
@@ -46,6 +46,21 @@ class TestConstruction:
     def test_seed_must_be_an_int(self, seed):
         with pytest.raises(ValueError, match="seed"):
             ValueSketch(4, 2, seed=seed)
+
+    def test_buckets_are_distinct_rows_of_empty_cells(self):
+        # Every bucket copies one row of Nones: writing a cell or a vote into
+        # one bucket must leave the others as they were.
+        vs = ValueSketch(3, 4, hash_fn=lambda key: 0)
+        assert len({id(bucket) for bucket in vs.buckets}) == 3
+        for bucket in vs.buckets:
+            assert type(bucket) is Bucket and bucket.cells is bucket
+            assert bucket == [None] * 4 and bucket.vote_minus == 0
+        for key in range(6):
+            vs.insert(key, 1.0)
+        assert [cell.key for cell in vs.buckets[0].cells] == [0, 1, 2, 3]
+        assert vs.buckets[0].vote_minus == 2
+        for bucket in vs.buckets[1:]:
+            assert bucket == [None] * 4 and bucket.vote_minus == 0
 
 
 class TestAsRatio:
@@ -270,7 +285,7 @@ class TestSortedRepresentative:
         vs = ValueSketch(1, 1, candidate_capacity=r, representative_capacity=s)
         cell = Cell(1, 1)
         cell.representative = array("d", rep)
-        cell.candidate = batch[:]
+        cell.candidate[:] = batch
         vs._flush(cell)
         c = sorted(batch)
         lo, hi = c[r // 2 - 1], c[r // 2]
@@ -305,7 +320,7 @@ class TestSortedRepresentative:
         vs = ValueSketch(1, 1, candidate_capacity=2, representative_capacity=4)
         cell = Cell(1, 1)
         cell.representative = array("d", [1.0, 2.0, 3.0, 4.0])
-        cell.candidate = list(pair)
+        cell.candidate[:] = pair
         ref = PointEstimator(2, 4)
         ref.representative = [1.0, 2.0, 3.0, 4.0]
         ref.candidate = list(pair)
