@@ -85,6 +85,8 @@ class UniformValues(_Dist):
         super().__post_init__(positive=False)
         if self.lo > self.hi:
             raise ValueError(f"uniform bounds must satisfy lo <= hi, got ({self.lo!r}, {self.hi!r})")
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError(f"uniform width hi - lo must be finite, got ({self.lo!r}, {self.hi!r})")
 
 
 KeyDist = Union[ZipfKeys, UniformKeys]

@@ -17,6 +17,7 @@ from array import array
 from bisect import bisect_left, bisect_right, insort
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from itertools import repeat
 from math import isfinite
 from typing import Callable, NamedTuple
@@ -179,12 +180,12 @@ class ValueSketch:
         ratio = as_ratio(eviction_ratio)
         self._ratio_num = ratio.numerator
         self._ratio_den = ratio.denominator
-        self._seed = seed
         self._r = candidate_capacity
         self._s = representative_capacity
         self._u = buckets
         self._d = cells_per_bucket
-        self._hash_fn = hash_fn
+        # A partial, not a lambda, so the sketch still pickles.
+        self._bucket_hash = partial(hash_key, seed=seed) if hash_fn is None else hash_fn
         self._admit = self._open_gate
         self._gate_threshold = 0
         # Key -> its cell, over every occupied cell; a key holds at most one.
@@ -199,10 +200,7 @@ class ValueSketch:
 
     def _open_gate(self, key: int, threshold: int) -> int:
         """A standalone table's gate: open at any threshold, at the key's seeded bucket."""
-        h = self._hash_fn
-        if h is not None:
-            return h(key) % self._u
-        return hash_key(key, self._seed) % self._u
+        return self._bucket_hash(key) % self._u
 
     def _new_cell(self, key: int, bucket_index: int) -> Cell:
         # The caller puts the cell into an empty slot of bucket bucket_index.
@@ -266,31 +264,22 @@ class ValueSketch:
         return result
 
     def _flush(self, c: Cell) -> None:
-        """``PointEstimator._flush`` on a sorted representative, pair inserted by bisection.
+        """``PointEstimator._flush`` on a sorted representative: the middle pair in, both ends out.
 
-        Full, the s + 2 values lose their min and max. A split on the ends
-        moves only what changes: lo below the first is the min, and hi at or
-        above the last the max.
+        The batch's two middle values are inserted by bisection, and a
+        representative past s then loses its min and max. It stays sorted so
+        that a query reads its median by index, and so that the sentinel
+        repair reads the ends it writes over.
         """
         c.sort()
         half = self._r >> 1
         lo = c[half - 1]
         hi = c[half]
         rep = c.representative
-        if len(rep) < self._s:
-            insort(rep, lo)
-            insort(rep, hi)
-        elif lo < rep[0]:
-            if hi < rep[-1]:
-                del rep[-1]
-                insort(rep, hi)
-        elif hi < rep[-1]:
+        insort(rep, lo)
+        insort(rep, hi)
+        if len(rep) > self._s:
             del rep[0], rep[-1]
-            insort(rep, lo)
-            insort(rep, hi)
-        else:
-            del rep[0]
-            insort(rep, lo)
         # PointEstimator._flush's sentinel repair, read at the sorted ends.
         if hi == POS_INF:
             if rep[0] == POS_INF and c[0] != POS_INF:

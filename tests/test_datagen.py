@@ -43,6 +43,10 @@ class TestDistributionSpecs:
             ExponentialValues(0)
         with pytest.raises(ValueError, match="lo <= hi"):
             UniformValues(2.0, 1.0)
+        # Each bound is finite, but hi - lo is inf, and so would every draw be.
+        with pytest.raises(ValueError, match="width hi - lo must be finite"):
+            parse_stream_spec("value_dist=uniform(-1e308,1e308)")
+        assert UniformValues(-1e307, 1e307).hi == 1e307
 
     @pytest.mark.parametrize(
         "build",

@@ -25,6 +25,7 @@ from pqsketch import (
     rank_error,
 )
 from pqsketch.estimator import answer as estimator_answer
+from pqsketch.hashing import child_seed
 from pqsketch.value_sketch import Bucket, Cell, as_ratio
 
 from models import ScanningModel, sketch_state
@@ -276,8 +277,9 @@ class TestSortedRepresentative:
         data=st.data(),
     )
     def test_case_split_is_insort_then_trim_bit_for_bit(self, r, s, data):
-        # Ties, both zeros and both sentinel signs, so every branch meets
-        # equal ends and either repair.
+        # ValueSketch._flush is the rule this model states. Ties, both zeros
+        # and both sentinel signs, so every case of where the pair lands
+        # meets equal ends and either repair.
         pool = st.sampled_from([-0.0, 0.0, 1.0, -2.5, POS_INF, -POS_INF])
         size = data.draw(st.sampled_from(range(0, s + 1, 2)))
         rep = sorted(data.draw(st.lists(pool, min_size=size, max_size=size)))
@@ -305,7 +307,8 @@ class TestSortedRepresentative:
         assert cell.candidate == []
 
     # A full representative [1, 2, 3, 4] (s = 4) and a pair (lo, hi) from
-    # r = 2, one case per branch of the flush's split on its ends a = 1, b = 4.
+    # r = 2: four examples of the one rule, insert the pair and trim both
+    # ends, one for each side of the ends a = 1, b = 4 that lo and hi fall on.
     @pytest.mark.parametrize(
         "pair, after",
         [
@@ -603,6 +606,32 @@ class TestEndToEnd:
         assert sorted(a.tracked_keys()) == sorted(b.tracked_keys())
         for key in a.tracked_keys():
             assert a.query(key) == b.query(key)
+
+
+class TestSingleKeyBias:
+    """Mean signed rank error (rank - w) of one key at high w.
+
+    One-cell ValueSketch, r = 16, s = 10, n = 5,000 Uniform(0, 1) values,
+    200 fixed seeds (values child_seed(2026, i), sketch child_seed(2027, i)).
+    Readings when the test was written: -0.0057 (se 0.0028) at w = 0.9 and
+    -0.0199 (se 0.0022) at w = 0.99. Bounds: |mean| <= 0.015 at w = 0.9, and
+    mean >= -0.03 at w = 0.99. The w = 0.99 bias is not yet explained (see
+    the README's note on single-key bias): the bound records it, and a fix
+    would tighten it.
+    """
+
+    @pytest.mark.parametrize("w, lo, hi", [(0.9, -0.015, 0.015), (0.99, -0.03, POS_INF)])
+    def test_mean_signed_rank_error(self, w, lo, hi):
+        errors = []
+        for i in range(200):
+            values = np.random.default_rng(child_seed(2026, i)).random(5_000).tolist()
+            vs = ValueSketch(
+                1, 1, candidate_capacity=16, representative_capacity=10, quantile=w, seed=child_seed(2027, i)
+            )
+            for value in values:
+                vs.insert(1, value)
+            errors.append(rank_error(sorted(values), vs.query(1), w)[0] - w)
+        assert lo <= float(np.mean(errors)) <= hi
 
 
 class TestCollisionModel:
