@@ -17,13 +17,16 @@ Draws come in blocks of BLOCK from numpy's default generator: the inverse
 CDF ``max(1, ceil(log1p(-U) / log1p(-p)))`` over uniforms U on [0, 1), where
 the clamp catches U = 0. A block is ``bytes``, one byte per draw: p >= 1/2
 and U has 53 bits, so 1 - U >= 2^-53, the ratio is at most 53 and Z <= 54.
-At p = 1 nothing is drawn: an identity calibrator holds no generator.
+At p = 1 a block is all ones and no generator is built.
+
+One draw is ``next(cal.draws, 0) or cal._next_block()``: ``draws`` iterates
+over the current block only, and as Z >= 1 its 0 means the block is spent;
+``_next_block`` then installs the next block and returns its first draw.
 """
 from __future__ import annotations
 
 import math
-from itertools import chain, repeat
-from operator import length_hint
+from copy import deepcopy
 
 import numpy as np
 
@@ -42,11 +45,12 @@ class Calibrator:
         two calibrators with the same (w, seed) replay identical expansions.
 
     ``sentinel`` and ``p``, Z's success probability, follow the module
-    docstring. ``draws`` is the iterator of Z values; ``next(cal.draws)`` is one draw.
-    A copy or a pickle draws on from where the original stands.
+    docstring, and so do ``draws`` and ``_next_block``. The generator and the
+    block iterator copy and pickle (protocol 2 or later) with their position,
+    so a copy or a pickle draws on from where the original stands.
     """
 
-    __slots__ = ("w", "sentinel", "p", "draws", "_log_q", "_seed", "_rng", "_block", "_current")
+    __slots__ = ("w", "sentinel", "p", "draws", "_seed", "_rng")
 
     def __init__(self, w: float, seed: int = 0) -> None:
         check_weight(w)
@@ -63,75 +67,44 @@ class Calibrator:
             self.p = 1.0
         self._seed = seed
         self._rng: np.random.Generator | None = None
+        self.draws = iter(b"")
+
+    def _next_block(self) -> int:
+        """Install the next block as ``draws`` and return its first draw."""
+        block = b"\x01" * BLOCK
         if self.p < 1.0:
-            # A draw divides by ln(1 - p).
-            self._log_q = math.log1p(-self.p)
-            self._begin(b"")
-        else:
-            self.draws = repeat(1)
-
-    def _begin(self, unread: bytes) -> None:
-        """Draw the bytes of unread first, then block after block."""
-        self._block = unread
-        self._current = first = iter(unread)
-        self.draws = chain.from_iterable(chain((first,), iter(self._next_block, None)))
-
-    def _next_block(self):
-        # The generator is built on the first block, not in __init__, so a
-        # sketch that is built and never fed pays nothing for it.
-        rng = self._rng
-        if rng is None:
-            rng = self._rng = np.random.default_rng(self._seed & _MASK)
-        z = np.ceil(np.log1p(-rng.random(BLOCK)) / self._log_q)
-        self._block = block = np.maximum(z, 1.0).astype(np.uint8).tobytes()
-        self._current = it = iter(block)
-        return it
+            # The generator is built on the first block, not in __init__, so
+            # a sketch that is built and never fed pays nothing for it.
+            rng = self._rng
+            if rng is None:
+                rng = self._rng = np.random.default_rng(self._seed & _MASK)
+            z = np.ceil(np.log1p(-rng.random(BLOCK)) / math.log1p(-self.p))
+            block = np.maximum(z, 1.0).astype(np.uint8).tobytes()
+        self.draws = draws = iter(block)
+        return next(draws)
 
     def sample_geometric(self) -> int:
-        """The next of ``draws``: one Z >= 1 with P(Z = z) = (1 - p)^(z-1) * p."""
-        return next(self.draws)
+        """One draw: Z >= 1 with P(Z = z) = (1 - p)^(z-1) * p."""
+        return next(self.draws, 0) or self._next_block()
 
     def calibrate(self, value: Value) -> list[Value]:
         """Expand one finite value into its sentinel-padded run.
 
         Sentinels come first, the finite value last, so a truncated stream
-        never ends on a dangling prefix of a run.
+        never ends on a dangling prefix of a run. At p = 1 every Z is 1 and
+        the run is the value alone.
         """
         check_value(value)
-        sentinel = self.sentinel
-        if sentinel is None:
-            return [value]
-        out: list[Value] = [sentinel] * (self.sample_geometric() - 1)
-        out.append(value)
-        return out
+        return [self.sentinel] * (self.sample_geometric() - 1) + [value]
 
-    def __reduce__(self):
-        # The draw iterators cannot be copied, so a copy is rebuilt from the
-        # generator's state and the unread rest of the current block. Even a
-        # shallow copy gets a generator of its own. One that draws nothing
-        # (p = 1, a sentinel side too where 2 - 2w rounds to 1) has no block.
-        if self.p == 1.0:
-            return (Calibrator, (self.w, self._seed))
-        block = self._block
-        unread = block[len(block) - length_hint(self._current):]
-        state = None if self._rng is None else self._rng.bit_generator.state
-        return (_resume, (self.w, self._seed, state, unread))
+    def __copy__(self) -> Calibrator:
+        # A copy that shared the generator would skip the blocks the original draws.
+        return deepcopy(self)
 
     def __repr__(self) -> str:
         return f"Calibrator(w={self.w!r})"
 
 
-def _resume(w: float, seed: int, state: dict | None, unread: bytes) -> Calibrator:
-    # The copy's generator is seeded and then moved to the original's state,
-    # so a copy never reads OS entropy.
-    cal = Calibrator(w, seed)
-    if state is not None:
-        cal._rng = np.random.default_rng(seed & _MASK)
-        cal._rng.bit_generator.state = state
-    cal._begin(unread)
-    return cal
-
-
-#: The identity calibrator (w = 0.5). It draws nothing and holds no state,
-#: so estimators share this one instance instead of building their own.
+#: The identity calibrator (w = 0.5). Its draws are all ones and it holds no
+#: generator, so estimators share this one instance instead of building their own.
 IDENTITY = Calibrator(0.5)

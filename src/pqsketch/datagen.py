@@ -169,10 +169,10 @@ def _draw_keys(dist: KeyDist, n_keys: int, n_items: int, rng: np.random.Generato
     return (np.searchsorted(table, draws, side="right") + 1).astype(np.uint64)
 
 
+@np.errstate(over="raise", divide="raise")
 def _draw_values(dist: ValueDist, n_items: int, rng: np.random.Generator) -> np.ndarray:
     u = rng.random(n_items)
     if isinstance(dist, ParetoValues):
-        # 1 - u lies in (0, 1], so the tail stays finite.
         return dist.x_min / np.power(1.0 - u, 1.0 / dist.alpha)
     if isinstance(dist, ExponentialValues):
         return -np.log1p(-u) / dist.rate
@@ -183,7 +183,10 @@ def generate(spec: StreamSpec) -> Stream:
     """Materialize the stream a spec describes. Same spec, same bits."""
     rng = np.random.default_rng(spec.seed)
     keys = _draw_keys(spec.key_dist, spec.n_keys, spec.n_items, rng)
-    values = _draw_values(spec.value_dist, spec.n_items, rng)
+    try:
+        values = _draw_values(spec.value_dist, spec.n_items, rng)
+    except FloatingPointError:  # _draw_values raises it on overflow
+        raise ValueError(f"value_dist {spec.value_dist.spec_text()} draws overflow the float range") from None
     return Stream(keys, values)
 
 

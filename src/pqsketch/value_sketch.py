@@ -252,7 +252,7 @@ class ValueSketch:
         cal = self._calibrator
         sentinel = cal.sentinel
         if sentinel is not None:
-            z = next(cal.draws)
+            z = next(cal.draws, 0) or cal._next_block()
             while z > 1:
                 z -= 1
                 cell.append(sentinel)

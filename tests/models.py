@@ -2,7 +2,7 @@
 
 ``ScanningModel`` is the table written the slow, obvious way, with a
 ``PointEstimator`` per cell; ``sketch_state`` reads a sketch in the shape
-the models give.
+the models give; ``draws`` reads a calibrator's stream.
 """
 from __future__ import annotations
 
@@ -79,3 +79,8 @@ def sketch_state(sketch):
     if tower is None:
         return buckets
     return buckets, [list(arr) for _, _, arr in tower._layers]
+
+
+def draws(cal, n):
+    """The next n draws of a calibrator, taken one by one by ``sample_geometric``."""
+    return [cal.sample_geometric() for _ in range(n)]

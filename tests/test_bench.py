@@ -358,6 +358,11 @@ class TestCli:
         assert code == 2
         assert "unknown stream spec" in capsys.readouterr().err
 
+    def test_overflowing_value_dist_exits_2(self, capsys):
+        code = main(["bench", "--synthetic", "n_items=100,n_keys=5,value_dist=exponential(1e-308)", "--repeat", "1"])
+        assert code == 2
+        assert "value_dist exponential(1e-308) draws overflow" in capsys.readouterr().err
+
     def test_bad_params_exit_2(self, capsys):
         code = main(["bench", "--synthetic", "n_items=100,n_keys=5",
                      "--w", "1.5", "--repeat", "1"])

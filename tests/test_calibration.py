@@ -4,7 +4,7 @@ from __future__ import annotations
 import copy
 import pickle
 import random
-from itertools import islice
+from operator import length_hint
 
 import numpy as np
 import pytest
@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from pqsketch import NEG_INF, POS_INF, Calibrator
 from pqsketch.calibration import BLOCK
+
+from models import draws
 
 
 class TestParameters:
@@ -109,7 +111,7 @@ class TestBlockDraws:
         tail = 1
         while n * (1 - p) ** tail >= 5:
             tail += 1
-        counts = np.bincount(np.minimum(list(islice(c.draws, n)), tail), minlength=tail + 1)
+        counts = np.bincount(np.minimum(draws(c, n), tail), minlength=tail + 1)
         assert counts[0] == 0
         pmf = [(1 - p) ** (z - 1) * p for z in range(1, tail)]
         expected = n * np.array(pmf + [(1 - p) ** (tail - 1)])
@@ -122,33 +124,39 @@ class TestBlockDraws:
         # U = 0 gives the smallest, 1.
         c = Calibrator(w, seed=0)
         c._rng = FixedUniforms([0.0, 1.0 - 2.0**-53])
-        low, high = islice(c.draws, 2)
+        low, high = draws(c, 2)
         assert low == 1
         assert 53 <= high <= 54 < 256
 
     def test_generator_waits_for_the_first_block(self):
         c = Calibrator(0.9, seed=1)
         assert c._rng is None
-        next(c.draws)
+        draws(c, 1)
         assert c._rng is not None
 
     def test_copies_and_pickles_draw_on_from_the_same_place(self):
-        # Copies taken before the first block and with a block in flight.
+        # Copies taken before the first block, with the first block spent and
+        # the next not yet drawn, and with a block in flight.
         c = Calibrator(0.9, seed=9)
         fresh = [copy.copy(c), pickle.loads(pickle.dumps(c))]
-        head = list(islice(c.draws, BLOCK + 100))
+        spent = draws(c, BLOCK)
+        assert c._rng is not None and length_hint(c.draws) == 0
+        refill = [copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))]
+        head = spent + draws(c, 100)
         twins = [copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))]
-        rest = list(islice(c.draws, BLOCK))
-        assert head + rest == list(islice(Calibrator(0.9, seed=9).draws, 2 * BLOCK + 100))
+        rest = draws(c, BLOCK)
+        assert head + rest == draws(Calibrator(0.9, seed=9), 2 * BLOCK + 100)
         for twin in twins:
-            assert list(islice(twin.draws, BLOCK)) == rest
+            assert draws(twin, BLOCK) == rest
+        for twin in refill:
+            assert spent + draws(twin, BLOCK + 100) == head + rest
         for twin in fresh:
-            assert list(islice(twin.draws, 2 * BLOCK + 100)) == head + rest
+            assert draws(twin, 2 * BLOCK + 100) == head + rest
 
     def test_identity_copies_draw_ones(self):
         for twin in (copy.deepcopy(Calibrator(0.5)), pickle.loads(pickle.dumps(Calibrator(0.5, seed=4)))):
             assert twin.sentinel is None and twin._rng is None
-            assert list(islice(twin.draws, 10)) == [1] * 10
+            assert draws(twin, 10) == [1] * 10
 
     def test_copies_where_p_rounds_to_one_draw_ones(self):
         # Just below the median 2 - 2w rounds to 1: a sentinel side, but p = 1.
@@ -156,7 +164,7 @@ class TestBlockDraws:
         assert cal.sentinel == NEG_INF and cal.p == 1.0
         for twin in (copy.deepcopy(cal), pickle.loads(pickle.dumps(cal))):
             assert twin.sentinel == NEG_INF
-            assert list(islice(twin.draws, 10)) == [1] * 10
+            assert draws(twin, 10) == [1] * 10
 
 
 class TestCalibrate:
@@ -181,7 +189,7 @@ class TestCalibrate:
         for bad in (True, False, "1", None, 1j):
             with pytest.raises(TypeError):
                 c.calibrate(bad)
-        assert list(islice(c.draws, 50)) == list(islice(Calibrator(0.7, seed=1).draws, 50))
+        assert draws(c, 50) == draws(Calibrator(0.7, seed=1), 50)
 
     @settings(max_examples=60)
     @given(

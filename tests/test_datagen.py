@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from collections import Counter
 from dataclasses import fields
 
@@ -57,13 +58,19 @@ class TestDistributionSpecs:
             lambda: UniformValues(False, True),
             lambda: ParetoValues("2"),
             lambda: ExponentialValues(10**400),
+            # Finite parameters whose draws overflow are refused when drawn.
+            lambda: generate(parse_stream_spec("n_items=1000,value_dist=pareto(0.01,1)")),
+            lambda: generate(parse_stream_spec("n_items=1000,value_dist=exponential(1e-308)")),
+            lambda: generate(parse_stream_spec("n_items=1000,value_dist=pareto(1,1e308)")),
         ],
     )
     def test_parameters_are_finite_reals_not_bools(self, build):
         # A bool is not a parameter: uniform(False,True) would name a spec
-        # the parser cannot read back.
-        with pytest.raises(ValueError):
-            build()
+        # the parser cannot read back. No case warns on its way to the error.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                build()
 
     def test_numpy_real_parameter_is_accepted_as_a_float(self):
         dist = ZipfKeys(np.float32(1.5))

@@ -4,13 +4,14 @@ from __future__ import annotations
 import math
 import numbers
 import random
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqsketch import NEG_INF, POS_INF, Calibrator, PointEstimator, rank_toward
+
+from models import draws
 
 
 class CountingValue:
@@ -77,7 +78,7 @@ class TestValidation:
                 e.insert(bad)
         assert e.candidate == [] and e.representative == []
         # Checked before the draw: a rejected value takes no Z.
-        assert list(islice(e._calibrator.draws, 50)) == list(islice(Calibrator(0.9, seed=2).draws, 50))
+        assert draws(e._calibrator, 50) == draws(Calibrator(0.9, seed=2), 50)
         e.insert(3)
         assert e.query() == 3
 

@@ -10,7 +10,6 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 from fractions import Fraction
-from itertools import islice
 from operator import length_hint
 
 import numpy as np
@@ -36,7 +35,7 @@ from pqsketch.sketch import SEED_TOWER, SEED_VALUES, bucket_bytes
 from pqsketch.tower import TowerFilter, layer_counters
 from pqsketch.value_sketch import Bucket, Cell
 
-from models import ScanningModel, sketch_state
+from models import ScanningModel, draws, sketch_state
 
 # Values outside the domain; 10**400 is an int too large for a float.
 NON_FINITE = [math.nan, math.inf, -math.inf, pytest.param(10**400, id="10**400")]
@@ -322,7 +321,7 @@ class TestGate:
         # Refused before the gate: the key paid nothing and no draw was taken.
         assert sk.tower.query(42) == 3
         assert sketch_state(sk) == before
-        assert list(islice(sk._calibrator.draws, 50)) == list(islice(twin.draws, 50))
+        assert draws(sk._calibrator, 50) == draws(twin, 50)
 
 
 class TestKeys:
@@ -389,7 +388,7 @@ class TestKeys:
         # stream goes on as its copy does.
         assert cell_state(sk, 5) == before
         assert sketch_state(sk) == whole
-        assert list(islice(calibrator.draws, 50)) == list(islice(twin.draws, 50))
+        assert draws(calibrator, 50) == draws(twin, 50)
 
 
     def test_bool_and_non_real_values_are_refused(self):
@@ -692,7 +691,7 @@ class TestCopies:
         for key, value in pairs[:20_000]:
             sk.insert(key, value)
         calibrator = sk._calibrator
-        assert 0 < length_hint(calibrator._current) < BLOCK, "no block in flight"
+        assert 0 < length_hint(calibrator.draws) < BLOCK, "no block in flight"
         copies = [copy.deepcopy(sk), pickle.loads(pickle.dumps(sk))]
         for twin in copies:
             assert twin._calibrator is not calibrator
@@ -701,10 +700,10 @@ class TestCopies:
         for key, value in pairs[20_000:]:
             result = sk.insert(key, value)
             assert all(twin.insert(key, value) == result for twin in copies)
-        draws = list(islice(calibrator.draws, 2 * BLOCK))
+        stream = draws(calibrator, 2 * BLOCK)
         for twin in copies:
             assert sketch_state(twin) == sketch_state(sk)
-            assert list(islice(twin._calibrator.draws, 2 * BLOCK)) == draws
+            assert draws(twin._calibrator, 2 * BLOCK) == stream
 
     def test_copies_keep_each_cell_one_object(self):
         # A cell is its own candidate list, and the key index and the buckets

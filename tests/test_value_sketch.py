@@ -6,7 +6,6 @@ import warnings
 from array import array
 from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from pqsketch.estimator import answer as estimator_answer
 from pqsketch.hashing import child_seed
 from pqsketch.value_sketch import Bucket, Cell, as_ratio
 
-from models import ScanningModel, sketch_state
+from models import ScanningModel, draws, sketch_state
 
 
 def single_bucket(eviction_ratio=4, cells=2, **kwargs):
@@ -532,21 +531,19 @@ class TestPlacement:
         # Cells take disjoint slices of the sketch's one stream: the second
         # cell's calibration draws start where the first cell's stopped.
         vs = single_bucket(cells=2, quantile=0.9, seed=0)
-        stream = Calibrator(0.9, seed=0).draws
-        z1, z2, z3 = next(stream), next(stream), next(stream)
+        z1, z2, z3 = draws(Calibrator(0.9, seed=0), 3)
         assert z1 != z2  # so a replayed stream would show
         vs.insert(1, 1.0)
         vs.insert(2, 1.0)
         cells = vs.buckets[0].cells
         assert cells[0].estimator.candidate == [POS_INF] * (z1 - 1) + [1.0]
         assert cells[1].estimator.candidate == [POS_INF] * (z2 - 1) + [1.0]
-        assert next(vs._calibrator.draws) == z3
+        assert draws(vs._calibrator, 1) == [z3]
 
     def test_reclaimed_cell_gets_a_fresh_stream(self):
         vs = single_bucket(eviction_ratio=1, cells=1, quantile=0.9)
-        stream = Calibrator(0.9, seed=0).draws
         held = 10
-        zs = [next(stream) for _ in range(held + 2)]
+        zs = draws(Calibrator(0.9, seed=0), held + 2)
         # Key 2's first draw differs from the stream's first, so a replayed
         # stream would show.
         assert zs[0] != zs[held]
@@ -563,7 +560,7 @@ class TestPlacement:
         estimator = cell.estimator
         assert list(estimator.representative) == []
         assert estimator.candidate == [POS_INF] * (zs[held] - 1) + [1.0]
-        assert next(vs._calibrator.draws) == zs[held + 1]
+        assert draws(vs._calibrator, 1) == [zs[held + 1]]
 
     @pytest.mark.parametrize("w", [0.5, 0.9])
     def test_every_cell_draws_from_the_sketch_calibrator(self, w):
@@ -577,8 +574,8 @@ class TestPlacement:
         assert not any(hasattr(cell, "_calibrator") for cell in vs._resident.values())
         assert vs._calibrator.w == w
         pushes = sum(r.outcome is not InsertOutcome.REJECTED for r in results)
-        stream = Calibrator(w, seed=3).draws
-        assert list(islice(vs._calibrator.draws, 50)) == list(islice(stream, pushes, pushes + 50))
+        stream = draws(Calibrator(w, seed=3), pushes + 50)
+        assert draws(vs._calibrator, 50) == stream[pushes:]
 
 
 class TestEndToEnd:
