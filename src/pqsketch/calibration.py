@@ -103,8 +103,3 @@ class Calibrator:
 
     def __repr__(self) -> str:
         return f"Calibrator(w={self.w!r})"
-
-
-#: The identity calibrator (w = 0.5). Its draws are all ones and it holds no
-#: generator, so estimators share this one instance instead of building their own.
-IDENTITY = Calibrator(0.5)

@@ -22,7 +22,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .hashing import as_key
+from .hashing import _MASK, as_key, check_seed
 from .quantiles import check_count
 
 
@@ -104,6 +104,10 @@ class StreamSpec:
     def __post_init__(self) -> None:
         check_count("n_items", self.n_items, nonnegative=True)
         check_count("n_keys", self.n_keys)
+        for name, kinds in (("key_dist", _KEY_KINDS), ("value_dist", _VALUE_KINDS)):
+            if type(getattr(self, name)) not in kinds.values():
+                raise TypeError(f"{name} must be one of {sorted(kinds)}, got {getattr(self, name)!r}")
+        check_seed(self.seed)
 
     def describe(self) -> dict:
         """Config-echo form used in benchmark reports."""
@@ -181,7 +185,7 @@ def _draw_values(dist: ValueDist, n_items: int, rng: np.random.Generator) -> np.
 
 def generate(spec: StreamSpec) -> Stream:
     """Materialize the stream a spec describes. Same spec, same bits."""
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(spec.seed & _MASK)
     keys = _draw_keys(spec.key_dist, spec.n_keys, spec.n_items, rng)
     try:
         values = _draw_values(spec.value_dist, spec.n_items, rng)

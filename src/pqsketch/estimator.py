@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 
-from .calibration import IDENTITY, Calibrator
+from .calibration import Calibrator
 from .quantiles import NEG_INF, POS_INF, Value, check_count
 
 
@@ -30,8 +30,8 @@ class PointEstimator:
 
     :param candidate_capacity: r, a positive even batch size.
     :param representative_capacity: s, a positive even retention size.
-    :param calibrator: quantile recentering stage; defaults to the shared
-        identity (w = 0.5), which holds no state.
+    :param calibrator: quantile recentering stage; defaults to a new
+        identity (w = 0.5), whose draws are all ones.
     """
 
     __slots__ = ("candidate", "representative", "_r", "_s", "_calibrator")
@@ -46,7 +46,7 @@ class PointEstimator:
         check_count("representative_capacity", representative_capacity, even=True)
         self._r = candidate_capacity
         self._s = representative_capacity
-        self._calibrator = calibrator if calibrator is not None else IDENTITY
+        self._calibrator = calibrator if calibrator is not None else Calibrator(0.5)
         self.candidate: list[Value] = []
         self.representative: list[Value] = []
 

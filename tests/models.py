@@ -1,13 +1,22 @@
 """Reference models of the key table, shared by the tests that pin it.
 
 ``ScanningModel`` is the table written the slow, obvious way, with a
-``PointEstimator`` per cell; ``sketch_state`` reads a sketch in the shape
-the models give; ``draws`` reads a calibrator's stream.
+``PointEstimator`` per cell; ``placement_bucket`` is the tower's placement
+rule; ``sketch_state`` reads a sketch in the shape the models give;
+``draws`` reads a calibrator's stream.
 """
 from __future__ import annotations
 
+import math
+
+import pytest
+
 from pqsketch import Calibrator, InsertOutcome, PointEstimator
+from pqsketch.hashing import hash_key
 from pqsketch.value_sketch import as_ratio
+
+# Values outside the domain; 10**400 is an int too large for a float.
+NON_FINITE = [math.nan, math.inf, -math.inf, pytest.param(10**400, id="10**400")]
 
 
 class ScanningModel:
@@ -58,6 +67,26 @@ class ScanningModel:
             (minus, [None if c is None else (c[0], c[1], c[2].candidate, sorted(c[2].representative)) for c in cells])
             for minus, cells in zip(self.vote_minus, self.cells)
         ]
+
+
+def placement_bucket(tower, key):
+    """What ``tower.admit`` returns for key once its gate is open, computed from hash_key.
+
+    The tower's hash x (64 bits, or 128 on a wide layout) less its three
+    counter digits leaves the quotient q = x // (n0 n1 n2). Of the tower's u
+    buckets it picks q % u while n0 n1 n2 u <= 2^(bits - 10); past that the
+    bucket comes from one more hash, under the tower's second child seed."""
+    n0, n1, n2 = (layer[0] for layer in tower._layers)
+    s0, s1 = tower._step[:2]
+    u, rehash_seed = tower._step[-2:]
+    x, bits = hash_key(key, s0), 64
+    if s1 is not None:
+        x, bits = x | hash_key(key, s1) << 64, 128
+    digit = n0 * n1 * n2 * u <= 1 << (bits - 10)
+    assert (rehash_seed is None) == digit
+    if digit:
+        return x // (n0 * n1 * n2) % u
+    return hash_key(key, rehash_seed) % u
 
 
 def sketch_state(sketch):

@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -112,6 +112,15 @@ class TestDistributionSpecs:
             StreamSpec(n_items=-1)
         with pytest.raises(ValueError, match="n_keys"):
             StreamSpec(n_keys=0)
+        for field, bad in [("key_dist", UniformValues()), ("key_dist", "zipf"), ("value_dist", ZipfKeys())]:
+            with pytest.raises(TypeError, match=field):
+                StreamSpec(**{field: bad})
+        for bad in (True, 1.5, "1", None):
+            with pytest.raises(ValueError, match="seed"):
+                StreamSpec(seed=bad)
+        # Any int seeds a stream: the generator draws from its low 64 bits.
+        spec = StreamSpec(n_items=100, n_keys=10, seed=-1)
+        assert_same_stream(generate(spec), generate(replace(spec, seed=2**64 - 1)))
 
     def test_bool_is_not_an_item_count(self):
         with pytest.raises(ValueError, match="n_items"):

@@ -31,3 +31,9 @@ def test_each_file_has_a_line_before_the_total(tmp_path, monkeypatch, capsys):
         ["3", "lines,", "2", "code", "lines", str(tmp_path / "pkg" / "b.py")],
         ["8", "lines,", "3", "code", "lines"],
     ]
+
+
+def test_src_stays_within_its_line_budget():
+    """src/pqsketch holds at most 1,800 lines in all; a failure lists each module's count."""
+    counts = {path.name: loc.count(path.read_text())[0] for path in sorted(LOC.parents[1].glob("src/pqsketch/*.py"))}
+    assert sum(counts.values()) <= 1800, counts

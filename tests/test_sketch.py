@@ -1,13 +1,15 @@
-"""Tests for capacity planning, the collision model, and the composed sketch."""
+"""Tests for capacity planning, the collision model, and what only the composed sketch does.
+
+The key table's key and value rules run on both builds in test_value_sketch.py;
+this file keeps the tower gate, the plan, placement, copies and memory.
+"""
 from __future__ import annotations
 
 import copy
 import gc
-import math
 import pickle
 import random
 import tracemalloc
-import warnings
 from dataclasses import replace
 from fractions import Fraction
 from operator import length_hint
@@ -20,7 +22,6 @@ from hypothesis import strategies as st
 import pqsketch.tower
 import pqsketch.value_sketch
 from pqsketch import (
-    CapacityPlan,
     InsertOutcome,
     InsertResult,
     PerKeyQuantileSketch,
@@ -30,15 +31,12 @@ from pqsketch import (
 )
 from pqsketch.calibration import BLOCK
 from pqsketch.estimator import answer as estimator_answer
-from pqsketch.hashing import child_seed, hash_key
+from pqsketch.hashing import child_seed
 from pqsketch.sketch import SEED_TOWER, SEED_VALUES, bucket_bytes
 from pqsketch.tower import TowerFilter, layer_counters
 from pqsketch.value_sketch import Bucket, Cell
 
-from models import ScanningModel, draws, sketch_state
-
-# Values outside the domain; 10**400 is an int too large for a float.
-NON_FINITE = [math.nan, math.inf, -math.inf, pytest.param(10**400, id="10**400")]
+from models import NON_FINITE, ScanningModel, draws, placement_bucket, sketch_state
 
 
 class TestBucketBytes:
@@ -323,104 +321,19 @@ class TestGate:
         assert sketch_state(sk) == before
         assert draws(sk._calibrator, 50) == draws(twin, 50)
 
-
-class TestKeys:
-    def test_numpy_key_becomes_its_int(self):
-        sk = PerKeyQuantileSketch(SketchParams(gate_threshold=0))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert sk.insert(np.uint64(5), 1.0).outcome is InsertOutcome.PLACED
-            assert sk.insert(np.uint64(5), 2.0).outcome is InsertOutcome.MATCHED
-            assert sk.insert(5, 3.0).outcome is InsertOutcome.MATCHED
-        keys = list(sk.tracked_keys())
-        assert keys == [5] and type(keys[0]) is int
-
-    def test_keys_outside_the_unsigned_64_bit_range_raise(self):
-        sk = PerKeyQuantileSketch(SketchParams(gate_threshold=0))
-        for bad in (-1, 1 << 64):
-            with pytest.raises(ValueError, match="unsigned 64-bit"):
-                sk.insert(bad, 1.0)
-        with pytest.raises(TypeError):
-            sk.insert(1.5, 1.0)
-        assert list(sk.tracked_keys()) == []
-        # -1 no longer aliases the top key: only the top key itself is tracked.
-        sk.insert((1 << 64) - 1, 1.0)
-        assert list(sk.tracked_keys()) == [(1 << 64) - 1]
-
     def test_gated_keys_are_checked_too(self):
-        sk = PerKeyQuantileSketch(SketchParams())
-        with pytest.raises(ValueError, match="unsigned 64-bit"):
-            sk.insert(-1, 1.0)
-        assert sk.tower.query((1 << 64) - 1) == 0
-
-    def test_bool_key_raises_even_when_its_int_holds_a_cell(self):
-        sk = PerKeyQuantileSketch(SketchParams(gate_threshold=0))
-        sk.insert(1, 1.0)
-        before = cell_state(sk, 1)
-        for bad in (True, False):
-            with pytest.raises(TypeError, match="bool"):
-                sk.insert(bad, 2.0)
-        assert cell_state(sk, 1) == before
-        assert sk.tracked_keys() == [1]
-
-    def test_float_key_raises_even_when_its_int_holds_a_cell(self):
-        sk = PerKeyQuantileSketch(SketchParams(gate_threshold=0))
-        sk.insert(5, 1.0)
-        before = cell_state(sk, 5)
-        for bad in (5.0, 6.0):
-            with pytest.raises(TypeError):
-                sk.insert(bad, 2.0)
-        assert cell_state(sk, 5) == before
-        assert sk.tracked_keys() == [5]
-
-    @pytest.mark.parametrize("bad", NON_FINITE)
-    def test_resident_key_refuses_non_finite_values(self, bad):
-        sk = PerKeyQuantileSketch(SketchParams(quantile=0.9, gate_threshold=0))
-        for value in (1.0, 2.0, 3.0):
-            sk.insert(5, value)
-        calibrator = sk._calibrator
-        before = cell_state(sk, 5)
-        whole = copy.deepcopy(sketch_state(sk))
-        twin = copy.deepcopy(calibrator)
-        with pytest.raises(ValueError, match="finite"):
-            sk.insert(5, bad)
-        # No cell changed, the tower did not move and no draw was taken: the
-        # stream goes on as its copy does.
-        assert cell_state(sk, 5) == before
-        assert sketch_state(sk) == whole
-        assert draws(calibrator, 50) == draws(twin, 50)
-
-
-    def test_bool_and_non_real_values_are_refused(self):
-        # A resident key checks in its estimator, a gated one before the tower.
+        # Key 1 holds a cell; -1 and key 9 meet a shut gate, which counts neither.
         sk = PerKeyQuantileSketch(SketchParams(gate_threshold=2))
         for value in (1.0, 2.0, 3.0, 4.0):
             sk.insert(1, value)
-        before = cell_state(sk, 1)
-        answer = sk.query(1)
-        for key in (1, 9):
-            for bad in (True, False, "1", None, 1j):
-                with pytest.raises(TypeError, match="real"):
-                    sk.insert(key, bad)
-        assert cell_state(sk, 1) == before
-        assert sk.tracked_keys() == [1] and sk.tower.query(9) == 0
-        assert sk.query(1) == answer
-
-    def test_query_keys_follow_the_insert_rule(self):
-        sk = PerKeyQuantileSketch(SketchParams(gate_threshold=0))
-        sk.insert(1, 4.0)
-        # A float or bool equal to a resident key does not answer for it.
-        for bad in (1.0, True, "1"):
-            with pytest.raises(TypeError):
-                sk.query(bad)
-        for bad in (-1, 1 << 64):
-            with pytest.raises(ValueError, match="unsigned 64-bit"):
-                sk.query(bad)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert sk.query(np.uint64(1)) == sk.query(1) == 4.0
-        with pytest.raises(KeyError, match="not tracked"):
-            sk.query(2)
+        before = sketch_state(sk)
+        with pytest.raises(ValueError, match="unsigned 64-bit"):
+            sk.insert(-1, 1.0)
+        for bad in (True, False, "1", None, 1j):
+            with pytest.raises(TypeError, match="real"):
+                sk.insert(9, bad)
+        assert sk.tower.query((1 << 64) - 1) == sk.tower.query(9) == 0
+        assert sketch_state(sk) == before
 
 
 class TestFloat64Answers:
@@ -442,38 +355,12 @@ class TestFloat64Answers:
             assert type(answer) is float and answer == rounded
 
 
-def cell_state(sketch, key):
-    """A resident key's vote and buffers, copied."""
-    cell = sketch._resident[key]
-    return cell.vote_plus, list(cell.estimator.candidate), list(cell.estimator.representative)
-
-
-def placement_bucket(sketch, key):
-    """The bucket the sketch places key in, computed from hash_key.
-
-    The tower's hash x (64 bits, or 128 on a wide tower) less its three
-    counter digits leaves the quotient q = x // (n0 n1 n2). It picks the
-    bucket, q % u, when it spans at least 2^10 u values, that is when
-    n0 n1 n2 u <= 2^(bits - 10); otherwise one more hash does, under the
-    tower seed's second child.
-    """
-    n0, n1, n2 = (counters for counters, _, _ in sketch.tower._layers)
-    u = sketch.plan.buckets
-    tower_seed = child_seed(sketch.params.seed, SEED_TOWER)
-    x, bits = hash_key(key, child_seed(tower_seed, 0)), 64
-    if n0 * n1 * n2 > 1 << 54:
-        x, bits = x | hash_key(key, child_seed(tower_seed, 1)) << 64, 128
-    if n0 * n1 * n2 * u <= 1 << (bits - 10):
-        return x // (n0 * n1 * n2) % u
-    return hash_key(key, child_seed(tower_seed, 1)) % u
-
-
 class GateFirstModel:
     """The composed sketch without the resident shortcut: tower first, for every item.
 
     A reference ``TowerFilter`` gates each item; an admitted one goes to a
-    ``ScanningModel`` routed by ``placement_bucket``, whose cells are
-    ``PointEstimator``s drawing from one calibrator under the sketch's seed.
+    ``ScanningModel`` routed by ``placement_bucket`` on that tower, whose cells
+    are ``PointEstimator``s drawing from one calibrator under the sketch's seed.
     """
 
     def __init__(self, sketch):
@@ -486,7 +373,7 @@ class GateFirstModel:
             plan.buckets,
             params.cells_per_bucket,
             params.eviction_ratio,
-            lambda key: placement_bucket(sketch, key),
+            lambda key: placement_bucket(self.tower, key),
             params.candidate_capacity,
             params.representative_capacity,
             params.quantile,
@@ -567,6 +454,9 @@ def regime_of(sketch):
     wide = step[1] is not None
     buckets, rehash_seed = step[-2:]
     assert buckets == sketch.plan.buckets
+    # The tower hashes under its seed's first child; high 64 bits and rehash use the second.
+    tower_seed = child_seed(sketch.params.seed, SEED_TOWER)
+    assert step[0] == child_seed(tower_seed, 0) and {step[1], rehash_seed} <= {None, child_seed(tower_seed, 1)}
     if rehash_seed is not None:
         assert not wide
         return "mid-size"
@@ -589,7 +479,7 @@ class TestPlacementRule:
             assert bucket.cells[0] is not None, f"bucket {index} never reached"
             for cell in bucket.cells:
                 if cell is not None:
-                    assert placement_bucket(sk, cell.key) == index
+                    assert placement_bucket(sk.tower, cell.key) == index
 
     @pytest.mark.parametrize("regime", sorted(REGIMES))
     def test_each_item_is_hashed_at_most_once_outside_admit(self, regime, monkeypatch):
@@ -628,19 +518,6 @@ class TestComposedSketch:
         assert plan.total_bytes == 3 * plan.tower_bytes_per_array + plan.buckets * bucket_bytes(7, 16, 10)
         assert plan.total_bytes <= 200_000
         assert tuple(layer[0] for layer in sk.tower._layers) == layer_counters(plan.tower_bytes_per_array)
-
-    def test_deterministic_replay(self):
-        params = SketchParams(total_memory_bytes=60_000, gate_threshold=3, seed=11)
-        rng = random.Random(4)
-        pairs = [(rng.randrange(500), rng.random()) for _ in range(20_000)]
-        a = PerKeyQuantileSketch(params)
-        b = PerKeyQuantileSketch(params)
-        for key, value in pairs:
-            assert a.insert(key, value) == b.insert(key, value)
-        keys = sorted(a.tracked_keys())
-        assert keys == sorted(b.tracked_keys())
-        for key in keys:
-            assert a.query(key) == b.query(key)
 
     def test_screening_prefers_heavy_keys(self):
         # Zipf keys: most keys are rare and should die at the gate, while

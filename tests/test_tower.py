@@ -13,29 +13,11 @@ from pqsketch import TowerFilter
 from pqsketch.hashing import child_seed, hash_key
 from pqsketch.tower import TOP_LIMIT, WIDE_LAYOUT
 
+from models import placement_bucket
+
 # The smallest bytes per array whose layout takes the 128-bit digits: the
 # counters 2b, b and about b/2 multiply to about b^3, past 2^54 once b > 2^18.
 WIDE_BYTES = (1 << 18) + 1
-
-
-def bucket(tower, key):
-    """What admit returns for key once its gate is open, computed from hash_key.
-
-    The tower's hash x (64 bits, or 128 on a wide layout) less its three
-    counter digits leaves the quotient q = x // (n0 n1 n2). Of the tower's u
-    buckets it picks q % u while n0 n1 n2 u <= 2^(bits - 10); past that the
-    bucket comes from one more hash, under the tower's second child seed."""
-    n0, n1, n2 = (layer[0] for layer in tower._layers)
-    s0, s1 = tower._step[:2]
-    u, rehash_seed = tower._step[-2:]
-    x, bits = hash_key(key, s0), 64
-    if s1 is not None:
-        x, bits = x | hash_key(key, s1) << 64, 128
-    digit = n0 * n1 * n2 * u <= 1 << (bits - 10)
-    assert (rehash_seed is None) == digit
-    if digit:
-        return x // (n0 * n1 * n2) % u
-    return hash_key(key, rehash_seed) % u
 
 
 class TestConstruction:
@@ -177,7 +159,7 @@ class TestAdmit:
             opened = slow.query(k) >= threshold
             if not opened:
                 slow.insert(k)
-            assert fast.admit(k, threshold) == (bucket(slow, k) if opened else None)
+            assert fast.admit(k, threshold) == (placement_bucket(slow, k) if opened else None)
         assert [layer[2] for layer in fast._layers] == [layer[2] for layer in slow._layers]
 
     def test_saturated_counters_drop_out(self):
@@ -205,7 +187,7 @@ class TestAdmit:
         tower = TowerFilter(bytes_per_array=2, seed=0, buckets=500)
         s0 = tower._step[0]
         key = (-s0) & (2**64 - 1)  # key + s0 wraps to 0, and hash_key(0, 0) is 0
-        assert bucket(tower, key) == 0
+        assert placement_bucket(tower, key) == 0
         assert tower.admit(key, 0) == 0
 
     @settings(max_examples=200)
@@ -226,7 +208,7 @@ class TestAdmit:
         for idx, (_, _, arr) in zip(tower.indices(key), tower._layers):
             assert arr[idx] == 1
             assert sum(arr) == 1
-        assert tower.admit(key, 1) == bucket(tower, key)
+        assert tower.admit(key, 1) == placement_bucket(tower, key)
 
 
 class TestKeys:
@@ -299,7 +281,7 @@ class TestIndices:
         # back the fourth digit of the same hash, or a second hash where more
         # than 2^54 / (n0 n1 n2) buckets (about 3,600 at 17,066 bytes) make
         # the quotient too narrow.
-        assert tower.admit(key, 0) == bucket(tower, key)
+        assert tower.admit(key, 0) == placement_bucket(tower, key)
         assert all(not any(arr) for _, _, arr in tower._layers)
 
     @pytest.mark.parametrize("bytes_per_array", [2, 17_066, 1 << 18, WIDE_BYTES])

@@ -1,6 +1,12 @@
-"""Tests for the bucketed key table and its vote-based eviction."""
+"""Tests for the bucketed key table and its vote-based eviction.
+
+The table's key and value rules (``TestKeys``) and its replay run on two
+builds: the standalone ``ValueSketch``, whose gate is always open, and the
+composed ``PerKeyQuantileSketch``, the same table behind its tower.
+"""
 from __future__ import annotations
 
+import copy
 import random
 import warnings
 from array import array
@@ -27,7 +33,7 @@ from pqsketch.estimator import answer as estimator_answer
 from pqsketch.hashing import child_seed
 from pqsketch.value_sketch import Bucket, Cell, as_ratio
 
-from models import ScanningModel, draws, sketch_state
+from models import NON_FINITE, ScanningModel, draws, sketch_state
 
 
 def single_bucket(eviction_ratio=4, cells=2, **kwargs):
@@ -435,64 +441,88 @@ class TestResidentIndex:
             assert vs._resident == scan()
 
 
+@pytest.fixture
+def quantile():
+    """The w of a ``table``; a test sets another by parametrizing ``quantile``."""
+    return 0.5
+
+
+@pytest.fixture(params=["standalone", "composed"])
+def table(request, quantile):
+    """An empty key table with an open gate: standalone, or behind a tower at T = 0."""
+    if request.param == "standalone":
+        return ValueSketch(8, 2, quantile=quantile, seed=1)
+    return PerKeyQuantileSketch(SketchParams(quantile=quantile, gate_threshold=0))
+
+
 class TestKeys:
-    """ValueSketch.insert follows the key rule of hashing.as_key."""
+    """insert and query follow hashing.as_key's key rule and check_value's value
+    rule, on a resident key and at the gate; a refused item changes nothing."""
 
-    def test_keys_outside_the_unsigned_64_bit_range_raise(self):
-        vs = ValueSketch(buckets=64, cells_per_bucket=2, seed=1)
-        with pytest.raises(ValueError, match="unsigned 64-bit"):
-            vs.insert(-1, 1.0)
-        assert vs.insert((1 << 64) - 1, 1.0).outcome is InsertOutcome.PLACED
-        assert vs.tracked_keys() == [(1 << 64) - 1]
-
-    def test_float_key_raises_even_when_its_int_holds_a_cell(self):
-        vs = ValueSketch(buckets=8, cells_per_bucket=2, seed=1)
-        vs.insert(5, 1.0)
-        cell = vs._resident[5]
-        with pytest.raises(TypeError):
-            vs.insert(5.0, 2.0)
-        assert cell.vote_plus == 1
-        assert cell.estimator.candidate == [1.0] and list(cell.estimator.representative) == []
-
-    def test_bool_key_raises(self):
-        vs = ValueSketch(buckets=8, cells_per_bucket=2, seed=1)
-        for bad in (False, True):
-            with pytest.raises(TypeError, match="bool"):
-                vs.insert(bad, 2.0)
-        assert vs.tracked_keys() == []
-
-    def test_bool_and_non_real_values_are_refused(self):
-        vs = ValueSketch(buckets=8, cells_per_bucket=2, seed=1)
-        vs.insert(5, 1.0)
-        cell = vs._resident[5]
-        for key in (5, 6):
-            for bad in (True, False, "1", None, 1j):
-                with pytest.raises(TypeError, match="real"):
-                    vs.insert(key, bad)
-        assert vs.tracked_keys() == [5] and cell.vote_plus == 1
-        assert cell.estimator.candidate == [1.0]
-
-    def test_resident_numpy_key_is_matched(self):
-        vs = ValueSketch(buckets=8, cells_per_bucket=2, seed=1)
-        vs.insert(5, 1.0)
+    def test_numpy_key_becomes_its_int(self, table):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert vs.insert(np.uint64(5), 2.0).outcome is InsertOutcome.MATCHED
-            assert vs.insert(np.int64(6), 3.0).outcome is InsertOutcome.PLACED
-        assert vs.tracked_keys() == [5, 6] and all(type(k) is int for k in vs.tracked_keys())
+            assert table.insert(np.uint64(5), 1.0).outcome is InsertOutcome.PLACED
+            assert table.insert(np.uint64(5), 2.0).outcome is InsertOutcome.MATCHED
+            assert table.insert(5, 3.0).outcome is InsertOutcome.MATCHED
+            assert table.insert(np.int64(6), 4.0).outcome is InsertOutcome.PLACED
+        keys = table.tracked_keys()
+        assert keys == [5, 6] and all(type(k) is int for k in keys)
 
-    def test_query_keys_follow_the_insert_rule(self):
-        vs = ValueSketch(buckets=8, cells_per_bucket=2, seed=1)
-        vs.insert(1, 4.0)
-        for bad in (1.0, True, False, "1"):
-            with pytest.raises(TypeError):
-                vs.query(bad)
+    def test_keys_outside_the_unsigned_64_bit_range_raise(self, table):
         for bad in (-1, 1 << 64):
             with pytest.raises(ValueError, match="unsigned 64-bit"):
-                vs.query(bad)
+                table.insert(bad, 1.0)
+        assert table.tracked_keys() == []
+        # -1 does not alias the top key: only the top key itself is tracked.
+        assert table.insert((1 << 64) - 1, 1.0).outcome is InsertOutcome.PLACED
+        assert table.tracked_keys() == [(1 << 64) - 1]
+
+    def test_float_and_bool_keys_raise_beside_their_int(self, table):
+        for resident in ([], [1, 5]):
+            for key in resident:
+                table.insert(key, 1.0)
+            for bad in (1.5, 5.0, 6.0, False, True):
+                with pytest.raises(TypeError, match=type(bad).__name__):
+                    table.insert(bad, 2.0)
+            assert table.tracked_keys() == resident
+        cells = table._resident.values()
+        assert [(c.vote_plus, list(c.candidate), list(c.representative)) for c in cells] == [(1, [1.0], [])] * 2
+
+    @pytest.mark.parametrize("quantile", [0.9])
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_bad_values_are_refused(self, table, bad):
+        for value in (1.0, 2.0, 3.0):
+            table.insert(5, value)
+        before, answer, twin = sketch_state(table), table.query(5), copy.deepcopy(table._calibrator)
+        # Key 5 holds a cell; key 6 meets the gate.
+        for key in (5, 6):
+            with pytest.raises(ValueError, match="finite"):
+                table.insert(key, bad)
+            for not_real in (True, False, "1", None, 1j):
+                with pytest.raises(TypeError, match="real"):
+                    table.insert(key, not_real)
+        # No cell changed, no tower moved and no draw was taken: at w = 0.9
+        # every push draws, and the stream goes on as its copy does.
+        assert sketch_state(table) == before and table.query(5) == answer
+        assert draws(table._calibrator, 50) == draws(twin, 50)
+
+    def test_query_keys_follow_the_insert_rule(self, table):
+        with pytest.raises(KeyError, match="not tracked"):
+            table.query(123)
+        table.insert(1, 4.0)
+        # A float or bool equal to a resident key does not answer for it.
+        for bad in (1.0, True, False, "1"):
+            with pytest.raises(TypeError):
+                table.query(bad)
+        for bad in (-1, 1 << 64):
+            with pytest.raises(ValueError, match="unsigned 64-bit"):
+                table.query(bad)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert vs.query(np.int64(1)) == vs.query(1) == 4.0
+            assert table.query(np.uint64(1)) == table.query(np.int64(1)) == table.query(1) == 4.0
+        with pytest.raises(KeyError, match="not tracked"):
+            table.query(2)
 
 
 class TestPlacement:
@@ -513,19 +543,11 @@ class TestPlacement:
         assert sorted(vs.tracked_keys()) == [5, 6, 7]
         assert len(vs.tracked_keys()) == 3
 
-    def test_query_untracked_key(self):
-        vs = ValueSketch(buckets=8, cells_per_bucket=2, seed=1)
-        with pytest.raises(KeyError, match="not tracked"):
-            vs.query(123)
-
     def test_validation(self):
         with pytest.raises(ValueError, match="bucket count"):
             ValueSketch(buckets=0, cells_per_bucket=2)
         with pytest.raises(ValueError, match="cells per bucket"):
             ValueSketch(buckets=2, cells_per_bucket=0)
-        for bad in (float("nan"), 10**400):
-            with pytest.raises(ValueError, match="finite"):
-                ValueSketch(buckets=2, cells_per_bucket=2).insert(1, bad)
 
     def test_cell_estimators_use_distinct_streams(self):
         # Cells take disjoint slices of the sketch's one stream: the second
@@ -593,14 +615,27 @@ class TestEndToEnd:
         errors = [rank_error(sorted(per_key[k]), vs.query(k), 0.5)[1] for k in keys]
         assert sum(errors) / len(errors) <= 0.1
 
-    def test_determinism_across_instances(self):
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ValueSketch(buckets=8, cells_per_bucket=4, eviction_ratio=2, seed=9),
+            lambda: PerKeyQuantileSketch(SketchParams(total_memory_bytes=60_000, gate_threshold=3, seed=11)),
+        ],
+        ids=["standalone", "composed"],
+    )
+    def test_determinism_across_instances(self, build):
         rng = random.Random(23)
-        pairs = [(rng.randrange(300), rng.random()) for _ in range(20_000)]
-        a = ValueSketch(buckets=8, cells_per_bucket=4, eviction_ratio=2, seed=9)
-        b = ValueSketch(buckets=8, cells_per_bucket=4, eviction_ratio=2, seed=9)
+        pairs = [(rng.randrange(500), rng.random()) for _ in range(20_000)]
+        a, b = build(), build()
+        outcomes = set()
         for key, value in pairs:
-            assert a.insert(key, value) == b.insert(key, value)
-        assert sorted(a.tracked_keys()) == sorted(b.tracked_keys())
+            result = a.insert(key, value)
+            assert result == b.insert(key, value)
+            outcomes.add(result and result.outcome)
+        # Every outcome replays, and so do gated items (None) behind a tower.
+        assert outcomes - {None} == set(InsertOutcome)
+        assert (None in outcomes) == isinstance(a, PerKeyQuantileSketch)
+        assert a.tracked_keys() == b.tracked_keys()
         for key in a.tracked_keys():
             assert a.query(key) == b.query(key)
 
