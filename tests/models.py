@@ -3,12 +3,16 @@
 ``ScanningModel`` is the table written the slow, obvious way, with a
 ``PointEstimator`` per cell; ``placement_bucket`` is the tower's placement
 rule; ``sketch_state`` reads a sketch in the shape the models give;
-``draws`` reads a calibrator's stream.
+``draws`` reads a calibrator's stream. ``KeyRules`` holds the table's key and
+value rule cases, which a ``TestKeys`` class runs on each build.
 """
 from __future__ import annotations
 
+import copy
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from pqsketch import Calibrator, InsertOutcome, PointEstimator
@@ -113,3 +117,109 @@ def sketch_state(sketch):
 def draws(cal, n):
     """The next n draws of a calibrator, taken one by one by ``sample_geometric``."""
     return [cal.sample_geometric() for _ in range(n)]
+
+
+class KeyRules:
+    """insert and query follow hashing.as_key's key rule and check_value's value
+    rule, on a resident key and at the gate; a refused item changes nothing.
+
+    A subclass named ``TestKeys`` runs every case on one build: its ``build(quantile)``
+    returns an empty key table whose gate is open."""
+
+    def build(self, quantile=0.5):
+        raise NotImplementedError
+
+    @pytest.fixture
+    def table(self):
+        return self.build()
+
+    def test_numpy_key_becomes_its_int(self, table):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert table.insert(np.uint64(5), 1.0).outcome is InsertOutcome.PLACED
+            assert table.insert(np.uint64(5), 2.0).outcome is InsertOutcome.MATCHED
+            assert table.insert(5, 3.0).outcome is InsertOutcome.MATCHED
+            assert table.insert(np.int64(6), 4.0).outcome is InsertOutcome.PLACED
+        keys = table.tracked_keys()
+        assert keys == [5, 6] and all(type(k) is int for k in keys)
+
+    def test_resident_numpy_key_is_matched(self, table):
+        table.insert(5, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert table.insert(np.uint64(5), 2.0).outcome is InsertOutcome.MATCHED
+            assert table.insert(np.int64(5), 3.0).outcome is InsertOutcome.MATCHED
+        assert table.tracked_keys() == [5]
+
+    def test_keys_outside_the_unsigned_64_bit_range_raise(self, table):
+        for bad in (-1, 1 << 64):
+            with pytest.raises(ValueError, match="unsigned 64-bit"):
+                table.insert(bad, 1.0)
+        assert table.tracked_keys() == []
+        # -1 does not alias the top key: only the top key itself is tracked.
+        assert table.insert((1 << 64) - 1, 1.0).outcome is InsertOutcome.PLACED
+        assert table.tracked_keys() == [(1 << 64) - 1]
+
+    @staticmethod
+    def refuse_keys(table, resident, bads):
+        """Hold a cell for each resident key, then insert each bad key: each
+        raises a TypeError naming its type, and the cells keep their vote and buffers."""
+        for key in resident:
+            table.insert(key, 1.0)
+        for bad in bads:
+            with pytest.raises(TypeError, match=type(bad).__name__):
+                table.insert(bad, 2.0)
+        assert table.tracked_keys() == resident
+        cells = table._resident.values()
+        assert [(c.vote_plus, list(c.candidate), list(c.representative)) for c in cells] == [(1, [1.0], [])] * len(resident)
+
+    def test_float_key_raises_even_when_its_int_holds_a_cell(self, table):
+        self.refuse_keys(table, [], (1.5, 5.0, 6.0))
+        self.refuse_keys(table, [1, 5], (1.5, 5.0, 6.0))
+
+    def test_bool_key_raises(self, table):
+        self.refuse_keys(table, [], (False, True))
+
+    def test_bool_key_raises_even_when_its_int_holds_a_cell(self, table):
+        self.refuse_keys(table, [0, 1], (False, True))
+
+    def refuse_values(self, bads, error, match):
+        """Insert each bad value at w = 0.9, where every push draws: for key 5,
+        which holds a cell, and key 6, which meets the gate. No cell changes,
+        no tower moves and no draw is taken: the stream goes on as its copy does."""
+        table = self.build(quantile=0.9)
+        for value in (1.0, 2.0, 3.0):
+            table.insert(5, value)
+        before, answer, twin = sketch_state(table), table.query(5), copy.deepcopy(table._calibrator)
+        for key in (5, 6):
+            for bad in bads:
+                with pytest.raises(error, match=match):
+                    table.insert(key, bad)
+        assert sketch_state(table) == before and table.query(5) == answer
+        assert draws(table._calibrator, 50) == draws(twin, 50)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_resident_key_refuses_non_finite_values(self, bad):
+        self.refuse_values([bad], ValueError, "finite")
+
+    def test_bool_and_non_real_values_are_refused(self):
+        self.refuse_values([True, False, "1", None, 1j], TypeError, "real")
+
+    def test_query_untracked_key(self, table):
+        with pytest.raises(KeyError, match="not tracked"):
+            table.query(123)
+
+    def test_query_keys_follow_the_insert_rule(self, table):
+        table.insert(1, 4.0)
+        # A float or bool equal to a resident key does not answer for it.
+        for bad in (1.0, True, False, "1"):
+            with pytest.raises(TypeError):
+                table.query(bad)
+        for bad in (-1, 1 << 64):
+            with pytest.raises(ValueError, match="unsigned 64-bit"):
+                table.query(bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert table.query(np.uint64(1)) == table.query(np.int64(1)) == table.query(1) == 4.0
+        with pytest.raises(KeyError, match="not tracked"):
+            table.query(2)

@@ -1,7 +1,9 @@
 """Tests for capacity planning, the collision model, and what only the composed sketch does.
 
-The key table's key and value rules run on both builds in test_value_sketch.py;
-this file keeps the tower gate, the plan, placement, copies and memory.
+The key table's key and value rules, written once in ``models.KeyRules``, run
+here on the composed build (``TestKeys``) and in test_value_sketch.py on the
+standalone one. The rest of this file keeps what only the composed sketch
+does: the tower gate, the plan, placement, copies and memory.
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ from pqsketch.sketch import SEED_TOWER, SEED_VALUES, bucket_bytes
 from pqsketch.tower import TowerFilter, layer_counters
 from pqsketch.value_sketch import Bucket, Cell
 
-from models import NON_FINITE, ScanningModel, draws, placement_bucket, sketch_state
+from models import NON_FINITE, KeyRules, ScanningModel, draws, placement_bucket, sketch_state
 
 
 class TestBucketBytes:
@@ -320,6 +322,14 @@ class TestGate:
         assert sk.tower.query(42) == 3
         assert sketch_state(sk) == before
         assert draws(sk._calibrator, 50) == draws(twin, 50)
+
+
+class TestKeys(KeyRules):
+    """The key table's rules on the composed sketch with an open gate (T = 0),
+    and the keys a shut gate checks."""
+
+    def build(self, quantile=0.5):
+        return PerKeyQuantileSketch(SketchParams(quantile=quantile, gate_threshold=0))
 
     def test_gated_keys_are_checked_too(self):
         # Key 1 holds a cell; -1 and key 9 meet a shut gate, which counts neither.

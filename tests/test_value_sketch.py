@@ -1,14 +1,14 @@
 """Tests for the bucketed key table and its vote-based eviction.
 
-The table's key and value rules (``TestKeys``) and its replay run on two
-builds: the standalone ``ValueSketch``, whose gate is always open, and the
-composed ``PerKeyQuantileSketch``, the same table behind its tower.
+The table's key and value rules, written once in ``models.KeyRules``, run on
+two builds: the standalone ``ValueSketch``, whose gate is always open, in
+``TestKeys`` here, and the composed ``PerKeyQuantileSketch``, the same table
+behind its tower, in test_sketch.py's ``TestKeys``. The replay case runs on
+both builds here.
 """
 from __future__ import annotations
 
-import copy
 import random
-import warnings
 from array import array
 from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
@@ -33,7 +33,7 @@ from pqsketch.estimator import answer as estimator_answer
 from pqsketch.hashing import child_seed
 from pqsketch.value_sketch import Bucket, Cell, as_ratio
 
-from models import NON_FINITE, ScanningModel, draws, sketch_state
+from models import KeyRules, ScanningModel, draws, sketch_state
 
 
 def single_bucket(eviction_ratio=4, cells=2, **kwargs):
@@ -441,88 +441,11 @@ class TestResidentIndex:
             assert vs._resident == scan()
 
 
-@pytest.fixture
-def quantile():
-    """The w of a ``table``; a test sets another by parametrizing ``quantile``."""
-    return 0.5
+class TestKeys(KeyRules):
+    """The key table's rules on a standalone ValueSketch, whose gate is always open."""
 
-
-@pytest.fixture(params=["standalone", "composed"])
-def table(request, quantile):
-    """An empty key table with an open gate: standalone, or behind a tower at T = 0."""
-    if request.param == "standalone":
+    def build(self, quantile=0.5):
         return ValueSketch(8, 2, quantile=quantile, seed=1)
-    return PerKeyQuantileSketch(SketchParams(quantile=quantile, gate_threshold=0))
-
-
-class TestKeys:
-    """insert and query follow hashing.as_key's key rule and check_value's value
-    rule, on a resident key and at the gate; a refused item changes nothing."""
-
-    def test_numpy_key_becomes_its_int(self, table):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert table.insert(np.uint64(5), 1.0).outcome is InsertOutcome.PLACED
-            assert table.insert(np.uint64(5), 2.0).outcome is InsertOutcome.MATCHED
-            assert table.insert(5, 3.0).outcome is InsertOutcome.MATCHED
-            assert table.insert(np.int64(6), 4.0).outcome is InsertOutcome.PLACED
-        keys = table.tracked_keys()
-        assert keys == [5, 6] and all(type(k) is int for k in keys)
-
-    def test_keys_outside_the_unsigned_64_bit_range_raise(self, table):
-        for bad in (-1, 1 << 64):
-            with pytest.raises(ValueError, match="unsigned 64-bit"):
-                table.insert(bad, 1.0)
-        assert table.tracked_keys() == []
-        # -1 does not alias the top key: only the top key itself is tracked.
-        assert table.insert((1 << 64) - 1, 1.0).outcome is InsertOutcome.PLACED
-        assert table.tracked_keys() == [(1 << 64) - 1]
-
-    def test_float_and_bool_keys_raise_beside_their_int(self, table):
-        for resident in ([], [1, 5]):
-            for key in resident:
-                table.insert(key, 1.0)
-            for bad in (1.5, 5.0, 6.0, False, True):
-                with pytest.raises(TypeError, match=type(bad).__name__):
-                    table.insert(bad, 2.0)
-            assert table.tracked_keys() == resident
-        cells = table._resident.values()
-        assert [(c.vote_plus, list(c.candidate), list(c.representative)) for c in cells] == [(1, [1.0], [])] * 2
-
-    @pytest.mark.parametrize("quantile", [0.9])
-    @pytest.mark.parametrize("bad", NON_FINITE)
-    def test_bad_values_are_refused(self, table, bad):
-        for value in (1.0, 2.0, 3.0):
-            table.insert(5, value)
-        before, answer, twin = sketch_state(table), table.query(5), copy.deepcopy(table._calibrator)
-        # Key 5 holds a cell; key 6 meets the gate.
-        for key in (5, 6):
-            with pytest.raises(ValueError, match="finite"):
-                table.insert(key, bad)
-            for not_real in (True, False, "1", None, 1j):
-                with pytest.raises(TypeError, match="real"):
-                    table.insert(key, not_real)
-        # No cell changed, no tower moved and no draw was taken: at w = 0.9
-        # every push draws, and the stream goes on as its copy does.
-        assert sketch_state(table) == before and table.query(5) == answer
-        assert draws(table._calibrator, 50) == draws(twin, 50)
-
-    def test_query_keys_follow_the_insert_rule(self, table):
-        with pytest.raises(KeyError, match="not tracked"):
-            table.query(123)
-        table.insert(1, 4.0)
-        # A float or bool equal to a resident key does not answer for it.
-        for bad in (1.0, True, False, "1"):
-            with pytest.raises(TypeError):
-                table.query(bad)
-        for bad in (-1, 1 << 64):
-            with pytest.raises(ValueError, match="unsigned 64-bit"):
-                table.query(bad)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert table.query(np.uint64(1)) == table.query(np.int64(1)) == table.query(1) == 4.0
-        with pytest.raises(KeyError, match="not tracked"):
-            table.query(2)
 
 
 class TestPlacement:
