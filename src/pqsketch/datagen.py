@@ -6,10 +6,10 @@ Key draws use an explicit cumulative table + binary search and value draws use
 explicit inverse CDFs over one seeded uniform source, so a (spec, seed) pair
 pins the stream bit for bit.
 
-CSV format: one "key,value" pair per line, LF terminated; keys are unsigned
-decimal integers written as digits only, values are decimal integers or
-finite reals without "_" (both parse to float64); blank lines and lines
-starting with "#" are ignored.
+CSV format: one "key,value" pair per line, LF terminated; blank lines and lines
+starting with "#" are ignored. A key is ASCII digits; a value is an optional
+sign, ASCII digits with an optional ".", and an optional exponent, as in every
+float repr, and parses to a finite float64. Neither holds whitespace or "_".
 """
 from __future__ import annotations
 
@@ -269,6 +269,8 @@ def write_csv(stream: Stream, path) -> None:
 
 
 _KEY_RE = re.compile(r"-?[0-9]+")
+# "inf" and "nan" fail the value pattern but parse, and are refused as not finite.
+_VALUE_RE = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 
 def read_csv(path) -> Stream:
@@ -283,7 +285,7 @@ def read_csv(path) -> Stream:
             left, sep, right = line.partition(",")
             if not sep or "," in right:
                 raise ValueError(f"line {lineno}: expected exactly one 'key,value' pair, got {line!r}")
-            # int() and float() also take "+" and "_", which the format lacks. A
+            # int() and float() also take "+", "_", whitespace and other digits. A
             # "-" passes, so that any signed key, "-0" too, reports the range error.
             if _KEY_RE.fullmatch(left) is None:
                 raise ValueError(f"line {lineno}: key {left!r} is not a decimal integer")
@@ -292,9 +294,9 @@ def read_csv(path) -> Stream:
             except ValueError:
                 raise ValueError(f"line {lineno}: key {left} outside the unsigned 64-bit range") from None
             try:
-                if "_" in right:
-                    raise ValueError
                 value = float(right)
+                if _VALUE_RE.fullmatch(right) is None and math.isfinite(value):
+                    raise ValueError
             except ValueError:
                 raise ValueError(f"line {lineno}: value {right!r} is not a decimal real") from None
             if not math.isfinite(value):

@@ -221,8 +221,8 @@ class ValueSketch:
         grow, and a saturated one only leaves the min). Any other key takes
         one gate step, and once admitted goes to ``_place`` in the bucket
         that step returns. Matched, placed and evicted items then take the
-        one push, ``PointEstimator.insert`` on the cell; TestVoteFloor and
-        TestResidentFirst pin it to that reference.
+        one push, ``PointEstimator.insert`` on the cell; ``replay`` in
+        tests/models.py pins it to that reference.
 
         Keys follow ``as_key`` and values ``check_value``, gated or not, and
         both are checked before anything changes.

@@ -1,10 +1,12 @@
 """Reference models of the key table, shared by the tests that pin it.
 
 ``ScanningModel`` is the table written the slow, obvious way, with a
-``PointEstimator`` per cell; ``placement_bucket`` is the tower's placement
-rule; ``sketch_state`` reads a sketch in the shape the models give;
-``draws`` reads a calibrator's stream. ``KeyRules`` holds the table's key and
-value rule cases, which a ``TestKeys`` class runs on each build.
+``PointEstimator`` per cell, and ``GateFirstModel`` puts a tower in front of
+it that every item asks first; ``replay`` checks a table against one of them
+after every item of a stream, which ``runs`` draws. ``placement_bucket`` is
+the tower's placement rule; ``sketch_state`` reads a sketch in the shape the
+models give; ``draws`` reads a calibrator's stream. ``KeyRules`` holds the
+table's key and value rule cases, which a ``TestKeys`` class runs on each build.
 """
 from __future__ import annotations
 
@@ -14,13 +16,23 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from pqsketch import Calibrator, InsertOutcome, PointEstimator
-from pqsketch.hashing import hash_key
+from pqsketch import Calibrator, InsertOutcome, InsertResult, PointEstimator, TowerFilter
+from pqsketch.hashing import child_seed, hash_key
+from pqsketch.sketch import SEED_TOWER, SEED_VALUES
 from pqsketch.value_sketch import as_ratio
 
 # Values outside the domain; 10**400 is an int too large for a float.
 NON_FINITE = [math.nan, math.inf, -math.inf, pytest.param(10**400, id="10**400")]
+
+
+def runs(keys):
+    """Items of keys 0 .. keys - 1 in runs of one key, so residents build up votes
+    and flush. A small pool repeats values and holds both zeros."""
+    values = st.sampled_from([-0.0, 0.0, 1.0, -2.5, 7.0]) | st.floats(-1e6, 1e6, allow_nan=False)
+    run = st.tuples(st.integers(0, keys - 1), st.lists(values, min_size=1, max_size=5))
+    return st.lists(run, max_size=100).map(lambda runs: [(key, value) for key, values in runs for value in values])
 
 
 class ScanningModel:
@@ -65,12 +77,59 @@ class ScanningModel:
         self.vote_minus[b] = 0
         return InsertOutcome.EVICTED, evicted
 
+    def query(self, key):
+        """The key's estimate as its ``PointEstimator`` gives it; KeyError if it holds no cell."""
+        if key not in self.resident:
+            raise KeyError(f"key {key!r} not tracked")
+        return self.resident[key][2].query()
+
     def state(self):
         # A cell keeps its representative sorted, a PointEstimator in append order.
         return [
             (minus, [None if c is None else (c[0], c[1], c[2].candidate, sorted(c[2].representative)) for c in cells])
             for minus, cells in zip(self.vote_minus, self.cells)
         ]
+
+
+class GateFirstModel(ScanningModel):
+    """The composed sketch without the resident shortcut: a reference tower, under
+    the sketch's seeds, gates every item, and ``placement_bucket`` on it routes
+    the admitted ones. Each step asserts that no gate among ``keys`` closes
+    again and that every resident key's gate is open."""
+
+    def __init__(self, sketch, keys):
+        params, plan = sketch.params, sketch.plan
+        self.threshold = params.gate_threshold
+        self.keys, self.opened = keys, set()
+        self.tower = TowerFilter(
+            plan.tower_bytes_per_array, seed=child_seed(params.seed, SEED_TOWER), buckets=plan.buckets
+        )
+        super().__init__(
+            plan.buckets,
+            params.cells_per_bucket,
+            params.eviction_ratio,
+            lambda key: placement_bucket(self.tower, key),
+            params.candidate_capacity,
+            params.representative_capacity,
+            params.quantile,
+            child_seed(params.seed, SEED_VALUES),
+        )
+
+    def insert(self, key, value):
+        if self.tower.query(key) < self.threshold:
+            self.tower.insert(key)
+            result = None
+        else:
+            result = super().insert(key, value)
+        opened = {k for k in self.keys if self.tower.query(k) >= self.threshold}
+        assert self.opened <= opened, "a gate closed again"
+        assert set(self.resident) <= opened
+        self.opened = opened
+        return result
+
+    def state(self):
+        """``sketch_state``'s shape: the table's buckets, then the tower's counters."""
+        return super().state(), [list(arr) for _, _, arr in self.tower._layers]
 
 
 def placement_bucket(tower, key):
@@ -117,6 +176,43 @@ def sketch_state(sketch):
 def draws(cal, n):
     """The next n draws of a calibrator, taken one by one by ``sample_geometric``."""
     return [cal.sample_geometric() for _ in range(n)]
+
+
+def answer(query, key):
+    """What query(key) gives: its estimate, or its error's type and message."""
+    try:
+        return query(key)
+    except (KeyError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def replay(table, model, items, probes):
+    """Feed items to a key table and its model one by one, and return the outcomes.
+
+    After each item: the outcome (an ``InsertResult``, or None if gated), the
+    state, the tracked keys, the key index against a bucket scan, the vote
+    floors, the empty cells against the room, and each probe's answer or error
+    agree. At the end, both calibration streams go on alike for 50 draws."""
+    results = []
+    for key, value in items:
+        result = table.insert(key, value)
+        assert result is None or type(result) is InsertResult
+        assert result == model.insert(key, value)
+        results.append(result)
+        assert sketch_state(table) == model.state()
+        assert table.tracked_keys() == list(model.resident)
+        held = {cell.key: id(cell) for bucket in table.buckets for cell in bucket.cells if cell is not None}
+        assert {k: id(cell) for k, cell in table._resident.items()} == held
+        for floor, room, bucket in zip(table._floors, table._room, table.buckets):
+            cells = bucket.cells
+            if None not in cells:
+                assert floor <= min(c.vote_plus for c in cells)
+            used = len(cells) - room
+            assert cells == cells[:used] + [None] * room and None not in cells[:used]
+        for probe in probes:
+            assert answer(table.query, probe) == answer(model.query, probe)
+    assert draws(copy.deepcopy(table._calibrator), 50) == draws(copy.deepcopy(model.calibrator), 50)
+    return results
 
 
 class KeyRules:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from collections import Counter
 from dataclasses import fields, replace
@@ -345,12 +346,27 @@ class TestCsv:
             ("1,2.0\n+7,2.0\n", "line 2: key '\\+7' is not a decimal integer"),
             ("1_000,2.0\n", "line 1: key '1_000' is not a decimal integer"),
             ("1,2.0\n\n3,1_0.5\n", "line 3: value '1_0.5' is not a decimal real"),
+            # Nor other digits or whitespace in a field, which int() and float() take,
+            # nor a bare exponent, point or sign. "inf", "nan" and overflow are not finite.
+            ("\u0661,2\n", "line 1: key '\u0661' is not a decimal integer"),
+            ("1 ,2\n", "line 1: key '1 ' is not a decimal integer"),
+            *[
+                (f"1,{v}\n", re.escape(f"line 1: value {v!r} is not a decimal real"))
+                for v in ("\u0661\u0662", " 1.5", "\t2", "1e", "e5", ".", "+")
+            ],
+            *[(f"1,{v}\n", re.escape(f"line 1: value {v!r} is not finite")) for v in ("-inf", "+nan", "Infinity", "1e999")],
         ]
         for body, pattern in cases:
             path = tmp_path / "bad.csv"
-            path.write_text(body)
+            path.write_text(body, encoding="utf-8")
             with pytest.raises(ValueError, match=pattern):
                 read_csv(path)
+
+    def test_reader_takes_every_float_repr_and_a_plus(self, tmp_path):
+        good = ["1e-05", "1.5e+300", "-0.0", "+1.5", ".5", "7.", "2E3", "12"]
+        path = tmp_path / "in.csv"
+        path.write_text("".join(f"{i},{v}\n" for i, v in enumerate(good)))
+        assert [v.hex() for v in read_csv(path).values.tolist()] == [float(v).hex() for v in good]
 
     def test_empty_file_gives_empty_stream(self, tmp_path):
         path = tmp_path / "empty.csv"

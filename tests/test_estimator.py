@@ -1,15 +1,17 @@
 """Tests for the two-buffer point estimator."""
 from __future__ import annotations
 
-import math
 import numbers
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqsketch import NEG_INF, POS_INF, Calibrator, PointEstimator, rank_toward
+from pqsketch.estimator import answer
+from pqsketch.value_sketch import Cell
 
 from models import draws
 
@@ -83,8 +85,12 @@ class TestValidation:
         assert e.query() == 3
 
     def test_query_before_data(self):
-        with pytest.raises(ValueError, match="insufficient data"):
-            PointEstimator().query()
+        # An empty key-table cell answers as an empty estimator does, at any w.
+        for w in (0.1, 0.5, 0.9, 0.99):
+            with pytest.raises(ValueError, match="insufficient data"):
+                PointEstimator(calibrator=Calibrator(w)).query()
+            with pytest.raises(ValueError, match="insufficient data"):
+                answer(array("d"), Cell(1, 1), w)
 
 
 class TestBufferMechanics:

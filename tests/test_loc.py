@@ -1,6 +1,8 @@
-"""Tests for tools/loc.py, the line counter that sizes each change to src/."""
+"""Tests for tools/loc.py, the line counter that sizes each change to src/, and
+the two budgets beside it: src/'s line count, and no unused import."""
 from __future__ import annotations
 
+import ast
 import importlib.util
 import runpy
 import sys
@@ -37,3 +39,20 @@ def test_src_stays_within_its_line_budget():
     """src/pqsketch holds at most 1,800 lines in all; a failure lists each module's count."""
     counts = {path.name: loc.count(path.read_text())[0] for path in sorted(LOC.parents[1].glob("src/pqsketch/*.py"))}
     assert sum(counts.values()) <= 1800, counts
+
+
+def test_no_module_imports_a_name_it_does_not_read():
+    """Each name imported under src/, tests/ and tools/, bar ``from __future__``,
+    is read or listed in ``__all__``; a failure lists each file and name."""
+    root, unused = LOC.parents[1], []
+    for path in sorted(path for top in ("src", "tests", "tools") for path in (root / top).rglob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        read = {node.id for node in nodes if isinstance(node, ast.Name)}
+        for node in nodes:
+            if isinstance(node, ast.Assign) and any(getattr(target, "id", None) == "__all__" for target in node.targets):
+                read.update(ast.literal_eval(node.value))
+        for node in nodes:
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                names = (alias.asname or alias.name.partition(".")[0] for alias in node.names)
+                unused += [f"{path.relative_to(root)}: {name}" for name in names if name not in read]
+    assert unused == []

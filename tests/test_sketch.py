@@ -2,8 +2,9 @@
 
 The key table's key and value rules, written once in ``models.KeyRules``, run
 here on the composed build (``TestKeys``) and in test_value_sketch.py on the
-standalone one. The rest of this file keeps what only the composed sketch
-does: the tower gate, the plan, placement, copies and memory.
+standalone one; ``TestResidentFirst`` replays it against ``GateFirstModel``.
+The rest of this file keeps what only the composed sketch does: the tower
+gate, the plan, placement, copies and memory.
 """
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ import pqsketch.tower
 import pqsketch.value_sketch
 from pqsketch import (
     InsertOutcome,
-    InsertResult,
     PerKeyQuantileSketch,
     SketchParams,
     collision_probability,
@@ -34,11 +34,11 @@ from pqsketch import (
 from pqsketch.calibration import BLOCK
 from pqsketch.estimator import answer as estimator_answer
 from pqsketch.hashing import child_seed
-from pqsketch.sketch import SEED_TOWER, SEED_VALUES, bucket_bytes
-from pqsketch.tower import TowerFilter, layer_counters
+from pqsketch.sketch import SEED_TOWER, bucket_bytes
+from pqsketch.tower import layer_counters
 from pqsketch.value_sketch import Bucket, Cell
 
-from models import NON_FINITE, KeyRules, ScanningModel, draws, placement_bucket, sketch_state
+from models import NON_FINITE, GateFirstModel, KeyRules, draws, placement_bucket, replay, runs, sketch_state
 
 
 class TestBucketBytes:
@@ -365,44 +365,9 @@ class TestFloat64Answers:
             assert type(answer) is float and answer == rounded
 
 
-class GateFirstModel:
-    """The composed sketch without the resident shortcut: tower first, for every item.
-
-    A reference ``TowerFilter`` gates each item; an admitted one goes to a
-    ``ScanningModel`` routed by ``placement_bucket`` on that tower, whose cells
-    are ``PointEstimator``s drawing from one calibrator under the sketch's seed.
-    """
-
-    def __init__(self, sketch):
-        params, plan = sketch.params, sketch.plan
-        self.threshold = params.gate_threshold
-        self.tower = TowerFilter(
-            plan.tower_bytes_per_array, seed=child_seed(params.seed, SEED_TOWER), buckets=plan.buckets
-        )
-        self.table = ScanningModel(
-            plan.buckets,
-            params.cells_per_bucket,
-            params.eviction_ratio,
-            lambda key: placement_bucket(self.tower, key),
-            params.candidate_capacity,
-            params.representative_capacity,
-            params.quantile,
-            child_seed(params.seed, SEED_VALUES),
-        )
-
-    def insert(self, key, value):
-        if self.tower.query(key) < self.threshold:
-            self.tower.insert(key)
-            return None
-        return InsertResult(*self.table.insert(key, value))
-
-    def state(self):
-        """``sketch_state``'s shape: the table's buckets, then the tower's counters."""
-        return self.table.state(), [list(arr) for _, _, arr in self.tower._layers]
-
-
 class TestResidentFirst:
-    """insert() skips the tower for keys that hold a cell; nothing may change for it."""
+    """insert() skips the tower for keys that hold a cell; nothing may change for
+    it: ``models.replay`` finds the sketch and ``GateFirstModel`` agree."""
 
     KEYS = 40
 
@@ -413,10 +378,8 @@ class TestResidentFirst:
         cells=st.integers(1, 3),
         ratio=st.sampled_from([1, 4]),
         seed=st.integers(0, 2**32),
-        items=st.lists(
-            st.tuples(st.integers(0, KEYS - 1), st.floats(-1e6, 1e6, allow_nan=False)),
-            max_size=300,
-        ),
+        # Runs of one key, so keys pass their gates and flush their buffers.
+        items=runs(KEYS),
     )
     def test_matches_gate_first_routing(self, threshold, w, cells, ratio, seed, items):
         # About 9 buckets for 40 keys, so buckets overflow and cells are evicted.
@@ -430,20 +393,10 @@ class TestResidentFirst:
             representative_capacity=2,
             seed=seed,
         )
-        fast = PerKeyQuantileSketch(params)
-        reference = GateFirstModel(fast)
-        opened = set()
-        for key, value in items:
-            assert fast.insert(key, value) == reference.insert(key, value)
-            now_open = {k for k in range(self.KEYS) if reference.tower.query(k) >= threshold}
-            assert opened <= now_open, "a gate closed again"
-            opened = now_open
-            assert set(reference.table.resident) <= opened
-        assert sketch_state(fast) == reference.state()
-        assert fast.tracked_keys() == list(reference.table.resident)
-        # query reads a finite lower median by index; PointEstimator.query is the reference.
-        for key in fast.tracked_keys():
-            assert fast.query(key) == reference.table.resident[key][2].query()
+        sketch = PerKeyQuantileSketch(params)
+        # Two keys past the inserted range are never inserted; the model watches their gates too.
+        probes = range(self.KEYS + 2)
+        replay(sketch, GateFirstModel(sketch, probes), items, probes)
 
 
 # One layout per placement regime (see TowerFilter.admit): the default, where

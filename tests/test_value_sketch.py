@@ -3,8 +3,9 @@
 The table's key and value rules, written once in ``models.KeyRules``, run on
 two builds: the standalone ``ValueSketch``, whose gate is always open, in
 ``TestKeys`` here, and the composed ``PerKeyQuantileSketch``, the same table
-behind its tower, in test_sketch.py's ``TestKeys``. The replay case runs on
-both builds here.
+behind its tower, in test_sketch.py's ``TestKeys``. The determinism case runs
+on both builds here. ``TestVoteFloor`` replays the standalone table against
+``ScanningModel``, as test_sketch.py's ``TestResidentFirst`` does the composed one.
 """
 from __future__ import annotations
 
@@ -29,11 +30,10 @@ from pqsketch import (
     collision_probability,
     rank_error,
 )
-from pqsketch.estimator import answer as estimator_answer
-from pqsketch.hashing import child_seed
+from pqsketch.hashing import child_seed, hash_key
 from pqsketch.value_sketch import Bucket, Cell, as_ratio
 
-from models import KeyRules, ScanningModel, draws, sketch_state
+from models import KeyRules, ScanningModel, draws, replay, runs
 
 
 def single_bucket(eviction_ratio=4, cells=2, **kwargs):
@@ -177,53 +177,6 @@ class TestOutcomes:
 
 
 class TestVoteAccounting:
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 10_000))
-    def test_votes_shadow_insert_outcomes(self, seed):
-        rng = random.Random(seed)
-        vs = ValueSketch(buckets=4, cells_per_bucket=2, eviction_ratio=1, seed=seed)
-        shadow: dict[int, int] = {}
-        for _ in range(2_000):
-            key = rng.randrange(30)
-            result = vs.insert(key, rng.random())
-            if result.outcome is InsertOutcome.MATCHED:
-                shadow[key] += 1
-            elif result.outcome is InsertOutcome.PLACED:
-                shadow[key] = 1
-            elif result.outcome is InsertOutcome.EVICTED:
-                del shadow[result.evicted_key]
-                shadow[key] = 1
-            tracked = {
-                cell.key: cell.vote_plus
-                for bucket in vs.buckets
-                for cell in bucket.cells
-                if cell is not None
-            }
-            assert tracked == shadow
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 10_000), ratio=st.sampled_from([1, 2, 4, Fraction(1, 2)]))
-    def test_eviction_fires_exactly_at_threshold(self, seed, ratio):
-        rng = random.Random(seed)
-        vs = ValueSketch(buckets=3, cells_per_bucket=2, eviction_ratio=ratio, seed=seed)
-        frac = Fraction(ratio)
-        for _ in range(1_500):
-            key = rng.randrange(40)
-            b = vs.buckets[vs._admit(key, 0)]
-            pre_minus = b.vote_minus
-            pre_votes = [cell.vote_plus for cell in b.cells if cell is not None]
-            full = all(cell is not None for cell in b.cells)
-            held = any(cell is not None and cell.key == key for cell in b.cells)
-            result = vs.insert(key, rng.random())
-            if result.outcome is InsertOutcome.EVICTED:
-                assert full and not held
-                assert pre_minus + 1 >= frac * min(pre_votes)
-                assert b.vote_minus == 0
-            elif result.outcome is InsertOutcome.REJECTED:
-                assert full and not held
-                assert pre_minus + 1 < frac * min(pre_votes)
-                assert b.vote_minus == pre_minus + 1
-
     def test_victim_is_lowest_index_weakest(self):
         vs = single_bucket(eviction_ratio=1, cells=3)
         for key in (1, 2, 3):
@@ -234,46 +187,9 @@ class TestVoteAccounting:
         assert result.evicted_key == 1
 
 
-def answer(query):
-    """What a query gives: its estimate, or its error's message."""
-    try:
-        return query()
-    except ValueError as exc:
-        return str(exc)
-
-
 class TestSortedRepresentative:
     """A cell keeps its representative sorted; PointEstimator, which keeps
     append order, is its reference."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        w=st.sampled_from([0.1, 0.5, 0.9, 0.99]),
-        r=st.sampled_from([2, 4, 6]),
-        s=st.sampled_from([2, 4, 6]),
-        seed=st.integers(0, 3),
-        # A small pool repeats values, and holds both zeros. At r = 2 most
-        # flushes take a pair with a sentinel in it, so both sentinel repairs
-        # of _flush occur, at w = 0.1 and at w = 0.9 and 0.99.
-        values=st.lists(
-            st.sampled_from([-0.0, 0.0, 1.0, -2.5, 7.0]) | st.floats(-1e6, 1e6, allow_nan=False),
-            max_size=150,
-        ),
-    )
-    def test_cell_agrees_with_a_point_estimator(self, w, r, s, seed, values):
-        # One cell in one bucket: key 1 is placed once and matched after.
-        vs = ValueSketch(1, 1, candidate_capacity=r, representative_capacity=s, quantile=w, seed=seed)
-        ref = PointEstimator(r, s, Calibrator(w, seed))
-        empty = Cell(1, 1)
-        assert answer(lambda: estimator_answer(empty.representative, empty.candidate, w)) == answer(ref.query)
-        for value in values:
-            vs.insert(1, value)
-            ref.insert(value)
-            cell = vs._resident[1]
-            assert cell.candidate == ref.candidate
-            # == holds 0.0 and -0.0 equal: equal extremes may leave either.
-            assert list(cell.representative) == sorted(ref.representative)
-            assert answer(lambda: vs.query(1)) == answer(ref.query)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -338,107 +254,48 @@ class TestSortedRepresentative:
 
 
 class TestVoteFloor:
-    """A full bucket's vote floor only skips scans: placement agrees step for
-    step with a model that scans every time and never reuses a cell."""
+    """A full bucket's vote floor only skips scans: the table agrees step for
+    step, by ``models.replay``, with a model that scans every time, never
+    reuses a cell and keeps each representative in append order."""
 
     KEYS = 12
 
-    @settings(max_examples=80, deadline=None)
+    # Runs of one key against at most 9 cells for 12 keys: matched, placed,
+    # rejected and evicted items all occur, and residents build up votes, so
+    # scans raise floors above 1 before evictions. At r = 2 most flushes take
+    # a pair with a sentinel in it, so both sentinel repairs occur.
+    @settings(max_examples=150, deadline=None)
     @given(
         route=st.lists(st.integers(0, 2), min_size=KEYS, max_size=KEYS),
         buckets=st.integers(1, 3),
         cells=st.integers(1, 3),
-        ratio=st.sampled_from([1, 4, Fraction(5, 2), "0.1"]),
-        quantile=st.sampled_from([0.5, 0.9]),
+        ratio=st.sampled_from([1, 2, 4, Fraction(1, 2), Fraction(5, 2), "0.1"]),
+        w=st.sampled_from([0.0, 0.1, 0.5, 0.9, 0.99, 1.0]),
+        r=st.sampled_from([2, 4, 6]),
+        s=st.sampled_from([2, 4, 6]),
         seed=st.integers(0, 3),
-        # Runs of one key against at most 9 cells for 12 keys: matched,
-        # placed, rejected and evicted items all occur, and residents build
-        # up votes, so scans raise floors above 1 before evictions.
-        runs=st.lists(
-            st.tuples(st.integers(0, KEYS - 1), st.integers(1, 5), st.floats(-1e6, 1e6, allow_nan=False)),
-            max_size=100,
-        ),
+        items=runs(KEYS),
     )
-    def test_agrees_with_a_scanning_model(self, route, buckets, cells, ratio, quantile, seed, runs):
-        items = [(key, value + i) for key, length, value in runs for i in range(length)]
-        options = dict(candidate_capacity=4, representative_capacity=4, quantile=quantile, seed=seed)
-        vs = ValueSketch(buckets, cells, eviction_ratio=ratio, hash_fn=route.__getitem__, **options)
-        model = ScanningModel(
-            buckets, cells, ratio, route.__getitem__, options["candidate_capacity"],
-            options["representative_capacity"], quantile, seed,
-        )
-        for key, value in items:
-            result = vs.insert(key, value)
-            assert (result.outcome, result.evicted_key) == model.insert(key, value)
-            assert sketch_state(vs) == model.state()
-            assert vs.tracked_keys() == list(model.resident)
-            for floor, room, bucket in zip(vs._floors, vs._room, vs.buckets):
-                if None not in bucket.cells:
-                    assert floor <= min(c.vote_plus for c in bucket.cells)
-                # The occupied cells are a prefix, and room counts the rest.
-                assert bucket.cells == bucket.cells[: cells - room] + [None] * room
-                assert None not in bucket.cells[: cells - room]
-
-
-class TestResidentIndex:
-    """The key index holds exactly the occupied cells, so lookups through it
-    give what a scan of the key's bucket gives."""
-
-    KEYS = 12
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        route=st.lists(st.integers(0, 2), min_size=KEYS, max_size=KEYS),
-        buckets=st.integers(1, 3),
-        cells=st.integers(1, 3),
-        ratio=st.sampled_from([1, 4]),
-        items=st.lists(
-            st.tuples(st.integers(0, KEYS - 1), st.floats(-1e6, 1e6, allow_nan=False)),
-            max_size=200,
-        ),
-    )
-    def test_index_matches_a_bucket_scan(self, route, buckets, cells, ratio, items):
-        # At most 9 cells for 12 keys, so full buckets evict.
-        vs = ValueSketch(
-            buckets=buckets,
-            cells_per_bucket=cells,
-            eviction_ratio=ratio,
-            hash_fn=route.__getitem__,
-        )
-
-        def scan():
-            return {
-                cell.key: cell
-                for bucket in vs.buckets
-                for cell in bucket.cells
-                if cell is not None
-            }
-
+    def test_agrees_with_a_scanning_model(self, route, buckets, cells, ratio, w, r, s, seed, items):
+        vs = ValueSketch(buckets, cells, ratio, r, s, w, seed, hash_fn=route.__getitem__)
+        model = ScanningModel(buckets, cells, ratio, route.__getitem__, r, s, w, seed)
+        # Last, one item of each key: matched exactly when the key holds a cell.
         # Two keys past the inserted range are never inserted.
-        probes = range(self.KEYS + 2)
-        for key, value in items:
-            vs.insert(key, value)
-            held = scan()
-            assert vs._resident == held
-            for probe in probes:
-                if probe in held:
-                    cell = held[probe]
-                    assert vs.query(probe) == estimator_answer(cell.representative, cell.candidate, vs._calibrator.w)
-                else:
-                    with pytest.raises(KeyError, match="not tracked"):
-                        vs.query(probe)
-        # A resident key's insert is matched in its own cell; any other key's
-        # is not, and the index still tracks whatever cells it takes.
-        for probe in range(self.KEYS):
-            held = scan()
-            cell = held.get(probe)
-            votes = None if cell is None else cell.vote_plus
-            outcome = vs.insert(probe, 1.0).outcome
-            assert (outcome is InsertOutcome.MATCHED) == (cell is not None)
-            if cell is not None:
-                assert cell.vote_plus == votes + 1
-                assert scan() == held
-            assert vs._resident == scan()
+        replay(vs, model, items + [(key, 1.0) for key in range(self.KEYS)], range(self.KEYS + 2))
+
+    @pytest.mark.parametrize("w", [0.5, 0.9])
+    @pytest.mark.parametrize("ratio", [1, 2, 4, pytest.param(Fraction(1, 2), id="1/2")])
+    def test_long_streams_agree_with_a_scanning_model(self, ratio, w):
+        # 2,000 items over 30 keys for 8 cells, placed by the seeded bucket hash.
+        rng = random.Random(11)
+        items = [(rng.randrange(30), rng.random()) for _ in range(2_000)]
+        vs = ValueSketch(4, 2, eviction_ratio=ratio, quantile=w, seed=3)
+        model = ScanningModel(4, 2, ratio, lambda key: hash_key(key, 3), 16, 10, w, 3)
+        results = replay(vs, model, items, range(32))
+        # Every outcome occurs and every cell ends up held; no cell holds a calibrator.
+        assert {result.outcome for result in results} == set(InsertOutcome)
+        assert len(vs.tracked_keys()) == 8
+        assert not any(hasattr(cell, "_calibrator") for cell in vs._resident.values())
 
 
 class TestKeys(KeyRules):
@@ -506,22 +363,6 @@ class TestPlacement:
         assert list(estimator.representative) == []
         assert estimator.candidate == [POS_INF] * (zs[held] - 1) + [1.0]
         assert draws(vs._calibrator, 1) == [zs[held + 1]]
-
-    @pytest.mark.parametrize("w", [0.5, 0.9])
-    def test_every_cell_draws_from_the_sketch_calibrator(self, w):
-        vs = ValueSketch(buckets=4, cells_per_bucket=2, eviction_ratio=1, quantile=w, seed=3)
-        results = [vs.insert(i % 23, float(i)) for i in range(200)]
-        # Eviction ratio 1 over 23 keys for 8 cells: cells are reclaimed too.
-        assert len(vs.tracked_keys()) == 8
-        assert sum(r.outcome is InsertOutcome.EVICTED for r in results) > 0
-        # A cell holds no calibrator, and each push (every item not
-        # rejected) took one draw from the sketch's, which stands just past them.
-        assert not any(hasattr(cell, "_calibrator") for cell in vs._resident.values())
-        assert vs._calibrator.w == w
-        pushes = sum(r.outcome is not InsertOutcome.REJECTED for r in results)
-        stream = draws(Calibrator(w, seed=3), pushes + 50)
-        assert draws(vs._calibrator, 50) == stream[pushes:]
-
 
 class TestEndToEnd:
     def test_interleaved_streams_estimate_medians(self):
