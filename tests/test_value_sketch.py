@@ -5,7 +5,9 @@ two builds: the standalone ``ValueSketch``, whose gate is always open, in
 ``TestKeys`` here, and the composed ``PerKeyQuantileSketch``, the same table
 behind its tower, in test_sketch.py's ``TestKeys``. The determinism case runs
 on both builds here. ``TestVoteFloor`` replays the standalone table against
-``ScanningModel``, as test_sketch.py's ``TestResidentFirst`` does the composed one.
+``ScanningModel``, as test_sketch.py's ``TestResidentFirst`` does the composed one;
+the vote, representative, key-index and calibrator cases drive the same
+``models.replay`` over their own streams.
 """
 from __future__ import annotations
 
@@ -177,6 +179,17 @@ class TestOutcomes:
 
 
 class TestVoteAccounting:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_votes_shadow_insert_outcomes(self, seed):
+        # The model's resident map is the shadow of the votes; replay checks
+        # the table's against it after each of 2,000 items over 30 keys.
+        rng = random.Random(seed)
+        items = [(rng.randrange(30), rng.random()) for _ in range(2_000)]
+        vs = ValueSketch(buckets=4, cells_per_bucket=2, eviction_ratio=1, seed=seed)
+        model = ScanningModel(4, 2, 1, lambda key: hash_key(key, seed), 16, 10, 0.5, seed)
+        replay(vs, model, items, ())
+
     def test_victim_is_lowest_index_weakest(self):
         vs = single_bucket(eviction_ratio=1, cells=3)
         for key in (1, 2, 3):
@@ -190,6 +203,27 @@ class TestVoteAccounting:
 class TestSortedRepresentative:
     """A cell keeps its representative sorted; PointEstimator, which keeps
     append order, is its reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        w=st.sampled_from([0.1, 0.5, 0.9, 0.99]),
+        r=st.sampled_from([2, 4, 6]),
+        s=st.sampled_from([2, 4, 6]),
+        seed=st.integers(0, 3),
+        # A small pool repeats values and holds both zeros. At r = 2 most
+        # flushes take a pair with a sentinel in it, so both sentinel repairs
+        # occur, at w = 0.1 and at w = 0.9 and 0.99.
+        values=st.lists(
+            st.sampled_from([-0.0, 0.0, 1.0, -2.5, 7.0]) | st.floats(-1e6, 1e6, allow_nan=False),
+            max_size=150,
+        ),
+    )
+    def test_cell_agrees_with_a_point_estimator(self, w, r, s, seed, values):
+        # One cell in one bucket: key 1 is placed once and matched after, and
+        # replay compares the cell with the model's PointEstimator each time.
+        vs = ValueSketch(1, 1, candidate_capacity=r, representative_capacity=s, quantile=w, seed=seed)
+        model = ScanningModel(1, 1, 4, lambda key: 0, r, s, w, seed)
+        replay(vs, model, [(1, value) for value in values], [1])
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -298,6 +332,32 @@ class TestVoteFloor:
         assert not any(hasattr(cell, "_calibrator") for cell in vs._resident.values())
 
 
+class TestResidentIndex:
+    """The key index holds exactly the occupied cells, so lookups through it
+    give what a scan of the key's bucket gives: ``replay`` checks both."""
+
+    KEYS = 12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        route=st.lists(st.integers(0, 2), min_size=KEYS, max_size=KEYS),
+        buckets=st.integers(1, 3),
+        cells=st.integers(1, 3),
+        ratio=st.sampled_from([1, 4]),
+        items=st.lists(
+            st.tuples(st.integers(0, KEYS - 1), st.floats(-1e6, 1e6, allow_nan=False)),
+            max_size=200,
+        ),
+    )
+    def test_index_matches_a_bucket_scan(self, route, buckets, cells, ratio, items):
+        # At most 9 cells for 12 keys, so full buckets evict. Keys come in any
+        # order, not in runs. Last, one item of each key is matched exactly
+        # when the key holds a cell; two keys past the range are never inserted.
+        vs = ValueSketch(buckets=buckets, cells_per_bucket=cells, eviction_ratio=ratio, hash_fn=route.__getitem__)
+        model = ScanningModel(buckets, cells, ratio, route.__getitem__, 16, 10, 0.5, 0)
+        replay(vs, model, items + [(key, 1.0) for key in range(self.KEYS)], range(self.KEYS + 2))
+
+
 class TestKeys(KeyRules):
     """The key table's rules on a standalone ValueSketch, whose gate is always open."""
 
@@ -341,6 +401,24 @@ class TestPlacement:
         assert cells[0].estimator.candidate == [POS_INF] * (z1 - 1) + [1.0]
         assert cells[1].estimator.candidate == [POS_INF] * (z2 - 1) + [1.0]
         assert draws(vs._calibrator, 1) == [z3]
+
+    @pytest.mark.parametrize("w", [0.5, 0.9])
+    def test_every_cell_draws_from_the_sketch_calibrator(self, w):
+        vs = ValueSketch(buckets=4, cells_per_bucket=2, eviction_ratio=1, quantile=w, seed=3)
+        model = ScanningModel(4, 2, 1, lambda key: hash_key(key, 3), 16, 10, w, 3)
+        # replay ends by checking that the table's calibrator and the model's,
+        # which every estimator draws from, go on alike.
+        results = replay(vs, model, [(i % 23, float(i)) for i in range(200)], range(24))
+        # Eviction ratio 1 over 23 keys for 8 cells: cells are reclaimed too.
+        assert len(vs.tracked_keys()) == 8
+        assert sum(r.outcome is InsertOutcome.EVICTED for r in results) > 0
+        # A cell holds no calibrator, and each push (every item not
+        # rejected) took one draw from the sketch's, which stands just past them.
+        assert not any(hasattr(cell, "_calibrator") for cell in vs._resident.values())
+        assert vs._calibrator.w == w
+        pushes = sum(r.outcome is not InsertOutcome.REJECTED for r in results)
+        stream = draws(Calibrator(w, seed=3), pushes + 50)
+        assert draws(vs._calibrator, 50) == stream[pushes:]
 
     def test_reclaimed_cell_gets_a_fresh_stream(self):
         vs = single_bucket(eviction_ratio=1, cells=1, quantile=0.9)
