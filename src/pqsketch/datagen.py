@@ -195,6 +195,18 @@ def generate(spec: StreamSpec) -> Stream:
 
 
 _DIST_RE = re.compile(r"^([a-z_]+)(?:\(([^()]*)\))?$")
+# int() and float() also take "+", "_", whitespace and other digits. A "-"
+# passes, so that a negative count or any signed key reports its range error.
+_KEY_RE = re.compile(r"-?[0-9]+")
+_VALUE_RE = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
+def _decimal(text: str) -> float:
+    """float(text) where text matches _VALUE_RE; "inf" and "nan" pass, for the caller to refuse."""
+    value = float(text)
+    if _VALUE_RE.fullmatch(text) is None and math.isfinite(value):
+        raise ValueError(f"{text!r} is not a decimal real")
+    return value
 
 
 def _parse_dist(text: str, kinds: dict) -> object:
@@ -208,7 +220,7 @@ def _parse_dist(text: str, kinds: dict) -> object:
     if arg_text is not None and arg_text.strip():
         for part in arg_text.split(","):
             try:
-                args.append(float(part))
+                args.append(_decimal(part.strip()))
             except ValueError:
                 raise ValueError(f"bad numeric argument {part!r} in distribution {text!r}") from None
     try:
@@ -250,10 +262,9 @@ def parse_stream_spec(text: str, seed: int = 1) -> StreamSpec:
     kwargs: dict = {"seed": seed}
     for name in ("n_items", "n_keys"):
         if name in fields:
-            try:
-                kwargs[name] = int(fields[name])
-            except ValueError:
-                raise ValueError(f"stream spec field {name} is not a decimal integer: {fields[name]!r}") from None
+            if _KEY_RE.fullmatch(fields[name]) is None:
+                raise ValueError(f"stream spec field {name} is not a decimal integer: {fields[name]!r}")
+            kwargs[name] = int(fields[name])
     if "key_dist" in fields:
         kwargs["key_dist"] = _parse_dist(fields["key_dist"], _KEY_KINDS)
     if "value_dist" in fields:
@@ -268,11 +279,6 @@ def write_csv(stream: Stream, path) -> None:
             fh.writelines(f"{k},{v!r}\n" for k, v in zip(keys, values))
 
 
-_KEY_RE = re.compile(r"-?[0-9]+")
-# "inf" and "nan" fail the value pattern but parse, and are refused as not finite.
-_VALUE_RE = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
-
-
 def read_csv(path) -> Stream:
     """Read a key,value CSV. Malformed input reports its 1-based line number."""
     keys: list[int] = []
@@ -285,8 +291,6 @@ def read_csv(path) -> Stream:
             left, sep, right = line.partition(",")
             if not sep or "," in right:
                 raise ValueError(f"line {lineno}: expected exactly one 'key,value' pair, got {line!r}")
-            # int() and float() also take "+", "_", whitespace and other digits. A
-            # "-" passes, so that any signed key, "-0" too, reports the range error.
             if _KEY_RE.fullmatch(left) is None:
                 raise ValueError(f"line {lineno}: key {left!r} is not a decimal integer")
             try:
@@ -294,9 +298,7 @@ def read_csv(path) -> Stream:
             except ValueError:
                 raise ValueError(f"line {lineno}: key {left} outside the unsigned 64-bit range") from None
             try:
-                value = float(right)
-                if _VALUE_RE.fullmatch(right) is None and math.isfinite(value):
-                    raise ValueError
+                value = _decimal(right)
             except ValueError:
                 raise ValueError(f"line {lineno}: value {right!r} is not a decimal real") from None
             if not math.isfinite(value):

@@ -115,21 +115,18 @@ class Cell(list):
 class Bucket(list):
     """d cell slots, the list's items, and their shared negative vote.
 
-    Its vote floor and count of empty cells live in ValueSketch's ``_floors``
-    and ``_room`` lists, not in slots, which would make a Bucket 80 bytes,
-    not 64. When a Bucket held its cells in a list of its own, the same two
-    slots (a 64-byte Bucket, not 48) lost 2.1-2.3% of insert throughput on
-    zipf-p50 and 1.0-1.7% on churn, every pair of two lock-step perfbench
-    runs (10 s, seeds 3-7, 2-core VM).
+    Its vote floor lives in ValueSketch's ``_floors`` list, not in a slot:
+    when a Bucket held its cells in a list of its own, two such slots (a
+    64-byte Bucket, not 48) lost 2.1-2.3% of insert throughput on zipf-p50
+    and 1.0-1.7% on churn, every pair of two lock-step perfbench runs (10 s,
+    seeds 3-7, 2-core VM).
 
-    Invariant: the floor is <= the smallest ``vote_plus`` among the cells.
-    It starts at 1, the vote of a new cell, and votes only grow, so only a
-    replaced cell can break it. ``ValueSketch._place`` is the one place that
-    replaces a cell, and it resets the floor to 1 at every eviction.
-
-    Invariant: the room counts the empty cells, in any order (criterion 2
-    sets a cell after an empty one by hand). ``_new_cell`` keeps it, and no
-    cell is emptied again, since an eviction reuses the victim's cell.
+    The floor has two states. At 0, where it starts, the bucket may hold an
+    empty cell, in any slot (criterion 2 sets a cell after an empty one by
+    hand). At 1 or more, the bucket is full and the floor is <= the smallest
+    ``vote_plus`` among its cells. Votes only grow and an eviction reuses the
+    victim's cell, so only ``ValueSketch._place``'s eviction can break that,
+    and it resets the floor to 1, the vote of the new cell.
     """
 
     __slots__ = ("vote_minus",)
@@ -138,6 +135,11 @@ class Bucket(list):
     def cells(self) -> Bucket:
         """The d cell slots, None where empty: the bucket itself."""
         return self
+
+
+def _open_gate(bucket_hash: Callable[[int], int], buckets: int, key: int, threshold: int) -> int:
+    """A standalone table's gate: open at any threshold, at the key's hashed bucket."""
+    return bucket_hash(key) % buckets
 
 
 class ValueSketch:
@@ -182,11 +184,10 @@ class ValueSketch:
         self._ratio_den = ratio.denominator
         self._r = candidate_capacity
         self._s = representative_capacity
-        self._u = buckets
-        self._d = cells_per_bucket
-        # A partial, not a lambda, so the sketch still pickles.
-        self._bucket_hash = partial(hash_key, seed=seed) if hash_fn is None else hash_fn
-        self._admit = self._open_gate
+        # Partials, not a lambda or a bound method: the table still pickles
+        # and holds no reference to itself.
+        bucket_hash = partial(hash_key, seed=seed) if hash_fn is None else hash_fn
+        self._admit = partial(_open_gate, bucket_hash, buckets)
         self._gate_threshold = 0
         # Key -> its cell, over every occupied cell; a key holds at most one.
         self._resident: dict[int, Cell] = {}
@@ -194,19 +195,13 @@ class ValueSketch:
         self.buckets: list[Bucket] = list(map(Bucket, repeat([None] * cells_per_bucket, buckets)))
         for bucket in self.buckets:
             bucket.vote_minus = 0
-        # Per-bucket vote floor and count of empty cells; see Bucket.
-        self._floors = [1] * buckets
-        self._room = [cells_per_bucket] * buckets
-
-    def _open_gate(self, key: int, threshold: int) -> int:
-        """A standalone table's gate: open at any threshold, at the key's seeded bucket."""
-        return self._bucket_hash(key) % self._u
+        # Per-bucket vote floor, 0 while the bucket may hold an empty cell; see Bucket.
+        self._floors = [0] * buckets
 
     def _new_cell(self, key: int, bucket_index: int) -> Cell:
-        # The caller puts the cell into an empty slot of bucket bucket_index.
+        """key's new cell, for an empty slot; ``bucket_index`` is no longer read (criterion 2 passes it)."""
         cell = Cell(key, 1)
         self._resident[key] = cell
-        self._room[bucket_index] -= 1
         return cell
 
     def insert(self, key: int, value: Value) -> InsertResult | None:
@@ -294,23 +289,26 @@ class ValueSketch:
 
         It only picks the cell and empties a reused one; the caller has found
         that the key holds no cell, checked it, picked the bucket, and pushes
-        the value. An empty cell is claimed first. A full bucket takes one more
-        negative vote. If that vote falls short of the ratio times the
-        bucket's floor, it falls short of the weakest cell too, and the key is
-        rejected with no scan. Otherwise the cells are scanned for the weakest
-        (lowest index on ties): a rejection raises the floor to its vote, and
-        an eviction reuses the victim's cell in place, whose draws continue
-        the sketch's one calibration stream.
+        the value. While the bucket's floor is 0, its first empty cell is
+        claimed, and a bucket with none is full from then on, at floor 1. A
+        full bucket takes one more negative vote. If that vote falls short of
+        the ratio times the floor, it falls short of the weakest cell too, and
+        the key is rejected with no scan. Otherwise the cells are scanned for
+        the weakest (lowest index on ties): a rejection raises the floor to its
+        vote, and an eviction reuses the victim's cell in place, whose draws
+        continue the sketch's one calibration stream.
         """
         bucket = self.buckets[bucket_index]
-        if self._room[bucket_index]:
-            bucket[bucket.index(None)] = self._new_cell(key, bucket_index)
-            return _PLACED
+        floors = self._floors
+        if not floors[bucket_index]:
+            if None in bucket:
+                bucket[bucket.index(None)] = self._new_cell(key, bucket_index)
+                return _PLACED
+            floors[bucket_index] = 1
         vote_minus = bucket.vote_minus + 1
         bucket.vote_minus = vote_minus
         threshold = vote_minus * self._ratio_den
         num = self._ratio_num
-        floors = self._floors
         if threshold < num * floors[bucket_index]:
             return _REJECTED
         victim = bucket[0]
@@ -355,6 +353,6 @@ class ValueSketch:
 
     def __repr__(self) -> str:
         return (
-            f"ValueSketch(buckets={self._u}, cells_per_bucket={self._d}, "
+            f"ValueSketch(buckets={len(self.buckets)}, cells_per_bucket={len(self.buckets[0])}, "
             f"tracked={len(self._resident)})"
         )

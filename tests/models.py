@@ -191,7 +191,8 @@ def replay(table, model, items, probes):
 
     After each item: the outcome (an ``InsertResult``, or None if gated), the
     state, the tracked keys, the key index against a bucket scan, the vote
-    floors, the empty cells against the room, and each probe's answer or error
+    floor's two states (0, or a full bucket whose weakest vote it does not pass),
+    the empty cells after the occupied ones, and each probe's answer or error
     agree. At the end, both calibration streams go on alike for 50 draws."""
     results = []
     for key, value in items:
@@ -203,12 +204,12 @@ def replay(table, model, items, probes):
         assert table.tracked_keys() == list(model.resident)
         held = {cell.key: id(cell) for bucket in table.buckets for cell in bucket.cells if cell is not None}
         assert {k: id(cell) for k, cell in table._resident.items()} == held
-        for floor, room, bucket in zip(table._floors, table._room, table.buckets):
+        for floor, bucket in zip(table._floors, table.buckets):
             cells = bucket.cells
-            if None not in cells:
-                assert floor <= min(c.vote_plus for c in cells)
-            used = len(cells) - room
-            assert cells == cells[:used] + [None] * room and None not in cells[:used]
+            if floor:
+                assert None not in cells and floor <= min(c.vote_plus for c in cells)
+            empty = cells.count(None)
+            assert None not in cells[: len(cells) - empty]
         for probe in probes:
             assert answer(table.query, probe) == answer(model.query, probe)
     assert draws(copy.deepcopy(table._calibrator), 50) == draws(copy.deepcopy(model.calibrator), 50)

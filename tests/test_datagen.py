@@ -295,6 +295,26 @@ class TestSpecGrammar:
             parse_stream_spec("n_items=1e3")
         with pytest.raises(ValueError, match="n_keys is not a decimal integer"):
             parse_stream_spec("n_keys=ten")
+        with pytest.raises(ValueError, match="malformed distribution"):
+            parse_stream_spec("key_dist=Zipf(1)")
+        with pytest.raises(ValueError, match="malformed distribution"):
+            parse_stream_spec("key_dist=zipf[1]")
+        # int() and float() also take "_" separators, a "+" on an integer and
+        # non-ASCII digits; the spec reads its numbers as read_csv does.
+        for spec in ("n_items=1_000", "n_items=\u0661\u0660\u0660", "n_items=+5"):
+            with pytest.raises(ValueError, match="n_items is not a decimal integer"):
+                parse_stream_spec(spec)
+        for spec in ("key_dist=zipf(\u0661)", "value_dist=pareto(1_0,1)"):
+            with pytest.raises(ValueError, match="bad numeric argument"):
+                parse_stream_spec(spec)
+        # A sign passes the pattern, so a negative count reports its range;
+        # inf and nan parse, and the distribution refuses them.
+        with pytest.raises(ValueError, match="n_items must be a nonnegative integer"):
+            parse_stream_spec("n_items=-5")
+        for bad in ("inf", "nan"):
+            with pytest.raises(ValueError, match=f"ZipfKeys alpha must be positive and finite, got {bad}"):
+                parse_stream_spec(f"key_dist=zipf({bad})")
+        assert parse_stream_spec("value_dist=uniform( -1 , +2.5e1 )").value_dist == UniformValues(-1.0, 25.0)
 
 
 class TestCsv:

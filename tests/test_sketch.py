@@ -25,9 +25,14 @@ from hypothesis import strategies as st
 import pqsketch.tower
 import pqsketch.value_sketch
 from pqsketch import (
+    Calibrator,
     InsertOutcome,
     PerKeyQuantileSketch,
+    PointEstimator,
     SketchParams,
+    Stream,
+    TowerFilter,
+    ValueSketch,
     collision_probability,
     plan_capacity,
 )
@@ -504,6 +509,22 @@ class TestComposedSketch:
         key_frac = len(passed_keys) / len(seen_keys)
         assert key_frac < 0.6 * item_frac
         assert set(sk.tracked_keys()) <= passed_keys
+
+
+# Each public type's repr, as a fresh object reads.
+REPRS = {
+    "ValueSketch(buckets=8, cells_per_bucket=2, tracked=0)": lambda: ValueSketch(8, 2),
+    "PerKeyQuantileSketch(w=0.5, memory=510314B, buckets=266)": lambda: PerKeyQuantileSketch(SketchParams()),
+    "TowerFilter(counters=128/64/32)": lambda: TowerFilter(64),
+    "PointEstimator(r=16, s=10, candidate=0, representative=0)": lambda: PointEstimator(16, 10),
+    "Calibrator(w=0.9)": lambda: Calibrator(0.9),
+    "Stream(items=2)": lambda: Stream(np.array([1, 2], dtype=np.uint64), np.array([0.5, 1.5])),
+}
+
+
+@pytest.mark.parametrize("text", REPRS, ids=lambda text: text.partition("(")[0])
+def test_repr(text):
+    assert repr(REPRS[text]()) == text
 
 
 @pytest.fixture(scope="module")

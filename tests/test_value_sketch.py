@@ -11,7 +11,11 @@ the vote, representative, key-index and calibrator cases drive the same
 """
 from __future__ import annotations
 
+import copy
+import gc
+import pickle
 import random
+import weakref
 from array import array
 from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
@@ -35,7 +39,7 @@ from pqsketch import (
 from pqsketch.hashing import child_seed, hash_key
 from pqsketch.value_sketch import Bucket, Cell, as_ratio
 
-from models import KeyRules, ScanningModel, draws, replay, runs
+from models import KeyRules, ScanningModel, draws, replay, runs, sketch_state
 
 
 def single_bucket(eviction_ratio=4, cells=2, **kwargs):
@@ -441,6 +445,43 @@ class TestPlacement:
         assert list(estimator.representative) == []
         assert estimator.candidate == [POS_INF] * (zs[held] - 1) + [1.0]
         assert draws(vs._calibrator, 1) == [zs[held + 1]]
+
+
+class TestCopies:
+    """A standalone table holds no reference to itself, and copies as plain data."""
+
+    def test_a_dropped_table_is_freed_without_the_cycle_collector(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            vs = ValueSketch(2, 2)
+            for key in range(6):
+                vs.insert(key, float(key))
+            ref = weakref.ref(vs)
+            del vs
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_copies_replay_the_next_inserts(self):
+        rng = random.Random(3)
+        pairs = [(rng.randrange(40), rng.random()) for _ in range(1_200)]
+        vs = ValueSketch(4, 2, quantile=0.9, seed=7)
+        for key, value in pairs[:1_000]:
+            vs.insert(key, value)
+        copies = [copy.deepcopy(vs), pickle.loads(pickle.dumps(vs))]
+        outcomes = set()
+        for key, value in pairs[1_000:]:
+            result = vs.insert(key, value)
+            outcomes.add(result.outcome)
+            assert all(twin.insert(key, value) == result for twin in copies)
+        assert outcomes == set(InsertOutcome) - {InsertOutcome.PLACED} and max(vs._floors) > 1
+        stream = draws(vs._calibrator, 50)
+        for twin in copies:
+            assert sketch_state(twin) == sketch_state(vs) and twin._floors == vs._floors
+            assert draws(twin._calibrator, 50) == stream
+
 
 class TestEndToEnd:
     def test_interleaved_streams_estimate_medians(self):
